@@ -12,7 +12,7 @@
 //   rule    := site ':' trigger ':' action
 //            | "seed=" N                      (global RNG seed, default 4711)
 //   site    := net.accept | net.recv | net.send | net.connect
-//            | engine.morsel | plan.table_grow
+//            | engine.morsel | plan.table_grow | live.compact
 //   trigger := "p=" FLOAT                     (seeded Bernoulli per hit)
 //            | "nth=" N                       (every Nth hit of the site)
 //   action  := "errno=" NAME-or-number        (EPIPE, ECONNRESET, EMFILE, ...)
@@ -20,7 +20,9 @@
 //            | "delay=" MILLISECONDS          (sleep, then proceed normally)
 //            | "fail"                         (site-specific hard failure; at
 //                                              plan.table_grow this maps to
-//                                              the memory outcome -> 413)
+//                                              the memory outcome -> 413, at
+//                                              live.compact to a bad_alloc
+//                                              mid-compaction)
 //
 // Example:
 //   SP2B_FAULTS='net.send:nth=7:short=512;net.send:p=0.01:errno=EPIPE'
@@ -47,6 +49,7 @@ enum class Site : int {
   kNetConnect,
   kEngineMorsel,
   kPlanTableGrow,
+  kLiveCompact,
   kCount,
 };
 

@@ -13,7 +13,10 @@
 //              merge joins when both inputs arrive sorted on the join
 //              key, hash joins when both inputs are large.
 // "planned-hash" pins the hash-only planner (merge joins disabled)
-// as a measurable baseline for the merge-join strategy.
+// as a measurable baseline for the merge-join strategy. The planned
+// levels run every SELECT through the plan, correlated OPTIONALs
+// included; ASK keeps the backtracking evaluator at every level, since
+// it stops at the first solution.
 #ifndef SP2B_SPARQL_ENGINE_H_
 #define SP2B_SPARQL_ENGINE_H_
 
@@ -37,9 +40,10 @@ struct EngineConfig {
   bool push_filters = false;      // evaluate filters as soon as bound
   bool equality_binding = false;  // FILTER(?a=?b / ?a=const) -> binding
   bool leftjoin_keys = false;     // seed OPTIONAL joins from equalities
-  /// Execute through the physical operator tree (plan.h) instead of
-  /// the backtracking evaluator. The planner supersedes `reorder` and
-  /// `push_filters`; the semantic rewrites still feed it join keys.
+  /// Execute SELECTs through the physical operator tree (plan.h)
+  /// instead of the backtracking evaluator. The planner supersedes
+  /// `reorder` and `push_filters` (ASK, still backtracking, turns them
+  /// on); the semantic rewrites still feed it join keys.
   bool planned = false;
   /// Let the planner pick order-aware merge joins when both inputs
   /// arrive sorted on the join key; off pins the hash-join-only
@@ -117,8 +121,8 @@ struct ExecStats {
 /// cardinality estimates, and a structurally impossible entry makes
 /// the planner fall back to its full search mid-build.
 struct PlanScript {
-  /// True once a plan was actually recorded and used for execution
-  /// (false for ASK queries and shapes the operator tree cannot run).
+  /// True once a plan was recorded and executed: every SELECT on a
+  /// planned level (false for ASK, which runs without a plan).
   bool valid = false;
   std::vector<std::pair<uint16_t, uint16_t>> merges;
 };
@@ -194,8 +198,9 @@ class Engine {
 
   /// Executes like Execute and additionally renders the physical plan
   /// (operator tree with estimated vs. actual cardinalities) into
-  /// `explain`. Only the planned engine produces a plan; other levels
-  /// leave `explain` untouched.
+  /// `explain`. Only the planned engine produces a plan (for ASK it
+  /// names the backtracking evaluator instead); other levels leave
+  /// `explain` untouched.
   QueryResult ExecuteExplained(const AstQuery& query,
                                const QueryLimits& limits,
                                std::string* explain);
@@ -203,8 +208,8 @@ class Engine {
   /// Execute with the parameterized-plan-cache hooks: when `replay`
   /// is non-null (and valid), the planner follows its recorded merge
   /// decisions instead of searching; when `record` is non-null, the
-  /// decisions taken are written into it (record->valid set iff the
-  /// plan actually executed). Only the planned levels consult either;
+  /// decisions taken are written into it (record->valid set for
+  /// SELECT, cleared for ASK). Only the planned levels consult either;
   /// both may be null.
   QueryResult ExecutePrepared(const AstQuery& query,
                               const QueryLimits& limits,

@@ -1,6 +1,6 @@
 // Physical-plan layer: compiles a parsed query into an explicit
 // operator tree — IndexScan, HashJoin, MergeJoin, MergeScanJoin,
-// IndexNestedLoopJoin, Filter, LeftJoin, Union, Bind — with
+// IndexNestedLoopJoin, Filter, LeftJoin, Union, Bind, RowId — with
 // cost-based join ordering driven by store counts and the
 // per-predicate Stats cardinalities. The planner tracks interesting
 // orders: scans advertise the physical sort order of their block
@@ -10,8 +10,9 @@
 // materializing it). Hash joins remain the choice for large unsorted
 // inputs; selective probes fall back to index nested loops. Every
 // operator materializes its output once (operators form a DAG: union
-// branches share their outer input), so the tree can report estimated
-// vs. actual cardinalities per operator after execution (EXPLAIN).
+// branches and correlated OPTIONAL right sides share their outer
+// input), so the tree can report estimated vs. actual cardinalities
+// per operator after execution (EXPLAIN).
 #ifndef SP2B_SPARQL_PLAN_H_
 #define SP2B_SPARQL_PLAN_H_
 
@@ -53,12 +54,6 @@ class Plan {
 
   bool valid() const { return root_ != nullptr; }
 
-  /// False for query shapes the bottom-up operator tree cannot
-  /// evaluate faithfully (conditions correlating across more than one
-  /// OPTIONAL nesting level); the engine falls back to backtracking
-  /// execution for those.
-  bool supported() const { return supported_; }
-
   /// Executes the operator tree bottom-up and appends the root's
   /// full-width rows to `out`. Intermediate materializations are
   /// charged against limits.max_rows (QueryMemoryExhausted) and the
@@ -80,14 +75,13 @@ class Plan {
   std::string Explain() const;
 
  private:
-  friend Plan BuildPlan(const internal::CompiledQuery& q, const AstQuery& ast,
+  friend Plan BuildPlan(internal::CompiledQuery& q, const AstQuery& ast,
                         const rdf::Store& store, const rdf::Dictionary& dict,
                         const rdf::Stats* stats, bool merge_joins,
                         int threads, const PlanScript* replay,
                         PlanScript* record, uint64_t root_cap);
 
   std::shared_ptr<internal::Operator> root_;
-  bool supported_ = true;
 };
 
 /// Plans the compiled WHERE clause of `q` (the `ast` is consulted only
@@ -106,7 +100,12 @@ class Plan {
 /// operator's materialization at that many rows (LIMIT pushdown: the
 /// engine passes offset+limit when no ORDER BY/DISTINCT/aggregate
 /// needs the full result); execution below the root is unaffected.
-Plan BuildPlan(const internal::CompiledQuery& q, const AstQuery& ast,
+/// Every SELECT plans: an OPTIONAL whose conditions need outer
+/// bindings is planned on top of its numbered left rows. Those
+/// OPTIONALs are found before any operator is built; their hidden
+/// `#rN` row-id slots are appended to `q`'s variables, and `q.width`
+/// is set to the widened row, once per call.
+Plan BuildPlan(internal::CompiledQuery& q, const AstQuery& ast,
                const rdf::Store& store, const rdf::Dictionary& dict,
                const rdf::Stats* stats, bool merge_joins = true,
                int threads = 1, const PlanScript* replay = nullptr,

@@ -18,6 +18,9 @@
 //             epoch with zero runs — content-identical, so caches
 //             keyed by the data generation stay valid and scans are
 //             single zero-copy ranges again (merge joins re-enable).
+//             A background merge that throws (bad_alloc) publishes
+//             nothing, counts a compaction failure, and retries on
+//             the next wake.
 //
 // Scans of a snapshot with delta runs flow through a k-way merging
 // cursor that preserves the advertised ScanOrder (so order-aware
@@ -57,6 +60,7 @@ struct IngestStats {
   uint64_t epochs = 0;         // current epoch number
   uint64_t generation = 0;     // data generation (compaction keeps it)
   uint64_t compactions = 0;
+  uint64_t compaction_failures = 0;  // background merges that threw
   uint64_t delta_runs = 0;     // runs in the current epoch
   uint64_t delta_triples = 0;  // triples in those runs
   uint64_t pinned_snapshots = 0;   // snapshots alive right now (>= 1)
@@ -217,6 +221,7 @@ class LiveStore {
   std::atomic<uint64_t> triples_added_{0};
   std::atomic<uint64_t> triples_parsed_{0};
   std::atomic<uint64_t> compactions_{0};
+  std::atomic<uint64_t> compaction_failures_{0};
 
   std::mutex compact_mu_;  // one compaction at a time (bg thread + CompactNow)
   std::mutex wake_mu_;

@@ -288,6 +288,7 @@ const char* SiteName(Site site) {
     case Site::kNetConnect: return "net.connect";
     case Site::kEngineMorsel: return "engine.morsel";
     case Site::kPlanTableGrow: return "plan.table_grow";
+    case Site::kLiveCompact: return "live.compact";
     case Site::kCount: break;
   }
   return "?";

@@ -171,6 +171,7 @@ std::string SparqlServer::IngestStatsJson() const {
   out += CounterJson("epochs", is.epochs) + ", ";
   out += CounterJson("generation", is.generation) + ", ";
   out += CounterJson("compactions", is.compactions) + ", ";
+  out += CounterJson("compaction_failures", is.compaction_failures) + ", ";
   out += CounterJson("delta_runs", is.delta_runs) + ", ";
   out += CounterJson("delta_triples", is.delta_triples) + ", ";
   out += CounterJson("pinned_snapshots", is.pinned_snapshots) + ", ";

@@ -731,7 +731,8 @@ using internal::FilterEval;
 using internal::kMissing;
 
 // ---------------------------------------------------------------------------
-// Executor (backtracking index-nested-loop; naive/indexed/semantic)
+// Executor (backtracking index-nested-loop; naive/indexed/semantic, and
+// ASK on every level)
 // ---------------------------------------------------------------------------
 
 class Exec {
@@ -1078,67 +1079,57 @@ QueryResult Engine::ExecuteImpl(const AstQuery& ast, const QueryLimits& limits,
                                 std::string* explain,
                                 const PlanScript* replay,
                                 PlanScript* record) {
-  CompiledQuery q;
-  std::vector<int> select_slots;
-  std::vector<int> key_slots;
-  std::vector<int> agg_source;
-  bool has_agg = !ast.group_by.empty();
+  // ASK runs on the backtracking evaluator at every level: it stops at
+  // the first solution, which a bottom-up plan cannot. The planned
+  // levels compile it with the backtracking rewrites they otherwise
+  // leave to the planner.
+  const bool ask = ast.form == AstQuery::kAsk;
+  EngineConfig cfg = config_;
+  if (ask && cfg.planned) {
+    cfg.reorder = true;
+    cfg.push_filters = true;
+  }
 
   // Compiles the WHERE clause and resolves every externally referenced
   // variable to a slot BEFORE fixing the row width, so selected or
   // grouped variables that never occur in the pattern still have a
-  // (permanently unbound) column. Re-runnable: the planned level falls
-  // back to a backtracking recompile for shapes the plan executor
-  // cannot evaluate.
-  auto compile = [&](const EngineConfig& cfg) {
-    internal::Compiler compiler(store_, dict_, cfg, stats_);
-    q = CompiledQuery{};
-    q.root = compiler.CompileRoot(ast.where);
-    select_slots.clear();
-    key_slots.clear();
-    agg_source.clear();
-    if (ast.form != AstQuery::kAsk) {
-      for (const SelectItem& item : ast.select) {
-        if (item.agg != SelectItem::kNone) {
-          has_agg = true;
-          select_slots.push_back(-1);
-          agg_source.push_back(item.source_var.empty()
-                                   ? -1
-                                   : compiler.SlotOf(item.source_var));
-        } else {
-          select_slots.push_back(compiler.SlotOf(item.var));
-        }
-      }
-      for (const std::string& var : ast.group_by) {
-        key_slots.push_back(compiler.SlotOf(var));
+  // (permanently unbound) column.
+  internal::Compiler compiler(store_, dict_, cfg, stats_);
+  CompiledQuery q;
+  q.root = compiler.CompileRoot(ast.where);
+  std::vector<int> select_slots;
+  std::vector<int> key_slots;
+  std::vector<int> agg_source;
+  bool has_agg = !ast.group_by.empty();
+  if (!ask) {
+    for (const SelectItem& item : ast.select) {
+      if (item.agg != SelectItem::kNone) {
+        has_agg = true;
+        select_slots.push_back(-1);
+        agg_source.push_back(item.source_var.empty()
+                                 ? -1
+                                 : compiler.SlotOf(item.source_var));
+      } else {
+        select_slots.push_back(compiler.SlotOf(item.var));
       }
     }
-    q.var_names = compiler.names();
-    q.width = q.var_names.size();
-  };
-  compile(config_);
-
-  // The backtracking configuration the planned level delegates to when
-  // the operator tree is not applicable (ASK early exit, unsupported
-  // correlation shapes).
-  EngineConfig fallback = config_;
-  fallback.reorder = true;
-  fallback.push_filters = true;
+    for (const std::string& var : ast.group_by) {
+      key_slots.push_back(compiler.SlotOf(var));
+    }
+  }
+  q.var_names = compiler.names();
+  q.width = q.var_names.size();
 
   QueryResult result;
 
-  if (ast.form == AstQuery::kAsk) {
+  if (ask) {
     result.is_ask = true;
     if (config_.planned) {
-      // Bottom-up materialization cannot stop at the first solution,
-      // so ASK keeps the backtracking evaluator. --explain still
-      // renders the (unexecuted) plan.
+      if (record != nullptr) record->valid = false;
       if (explain != nullptr) {
-        *explain = BuildPlan(q, ast, store_, dict_, stats_,
-                             config_.merge_joins, config_.threads)
-                       .Explain();
+        *explain =
+            "Ask: backtracking evaluator, stops at the first solution\n";
       }
-      compile(fallback);
     }
     Exec exec(store_, dict_, q, limits, result.stats);
     exec.Run([&](const TermId*) {
@@ -1161,31 +1152,16 @@ QueryResult Engine::ExecuteImpl(const AstQuery& ast, const QueryLimits& limits,
                      : 0;
 
   Plan plan;
-  bool use_plan = false;
-  std::string unsupported_note;
+  BindingTable table;
   if (config_.planned) {
     plan = BuildPlan(q, ast, store_, dict_, stats_, config_.merge_joins,
                      config_.threads,
                      replay != nullptr && replay->valid ? replay : nullptr,
                      record, push_cap);
-    use_plan = plan.supported();
-    if (record != nullptr) record->valid = use_plan;
-    if (!use_plan) {
-      if (explain != nullptr) {
-        unsupported_note =
-            "(shape unsupported by the plan executor; executed by the "
-            "backtracking engine)\n" +
-            plan.Explain();
-      }
-      plan = Plan();  // drops its pointers into q before recompiling
-      compile(fallback);
-    }
-  }
-
-  BindingTable table(q.width);
-  if (use_plan) {
+    if (record != nullptr) record->valid = true;
     plan.Execute(&table, limits, &result.stats);
   } else {
+    table = BindingTable(q.width);
     Exec exec(store_, dict_, q, limits, result.stats);
     exec.Run([&](const TermId* row) {
       table.Append(row);
@@ -1457,11 +1433,9 @@ QueryResult Engine::ExecuteImpl(const AstQuery& ast, const QueryLimits& limits,
   result.projection = projection;
   result.rows = std::move(table);
 
-  if (use_plan) {
+  if (config_.planned) {
     plan.SetRootActual(result.rows.size());
     if (explain != nullptr) *explain = plan.Explain();
-  } else if (explain != nullptr && !unsupported_note.empty()) {
-    *explain = std::move(unsupported_note);
   }
   return result;
 }

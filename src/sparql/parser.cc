@@ -271,8 +271,28 @@ class Parser {
   Expr ParsePrimaryExpr();
   void ParseModifiers(AstQuery& q);
 
+  /// Counts one level of group or expression nesting for its scope.
+  /// Planning and evaluation recurse per level, so a query from outside
+  /// nesting deeper than kMaxNesting is refused up front.
+  class Nest {
+   public:
+    explicit Nest(int& depth) : depth_(depth) {
+      if (++depth_ > kMaxNesting) {
+        --depth_;
+        throw ParseError("query nests deeper than " +
+                         std::to_string(kMaxNesting) + " levels");
+      }
+    }
+    ~Nest() { --depth_; }
+
+   private:
+    int& depth_;
+  };
+  static constexpr int kMaxNesting = 64;
+
   Lexer lex_;
   PrefixMap prefixes_;
+  int depth_ = 0;  // current group/expression nesting
 };
 
 std::string Parser::ResolvePname(const std::string& pname) const {
@@ -452,6 +472,7 @@ void Parser::ParseSelectClause(AstQuery& q) {
 }
 
 GroupPattern Parser::ParseGroup() {
+  Nest nest(depth_);
   GroupPattern group;
   ExpectPunct("{");
   for (;;) {
@@ -560,6 +581,7 @@ Expr Parser::ParseRelational() {
 }
 
 Expr Parser::ParsePrimaryExpr() {
+  Nest nest(depth_);
   if (AcceptPunct("!")) {
     Expr e;
     e.op = Expr::kNot;

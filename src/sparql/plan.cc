@@ -1,6 +1,7 @@
 // The physical-plan layer: operator classes, the cost-based plan
 // builder, and the EXPLAIN renderer. Operators materialize their
-// output once and form a DAG (union branches share the outer input),
+// output once and form a DAG (union branches and correlated OPTIONAL
+// right sides share the outer input),
 // which makes per-operator actual cardinalities trivially available
 // after execution.
 #include "sp2b/sparql/plan.h"
@@ -10,9 +11,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -997,7 +1001,9 @@ class ScanMergeJoinOp : public Operator {
 /// bound variables plus the seeds the semantic rewrite extracts from
 /// equality filters); residual filters — the optional's filters that
 /// reference outer variables — are join conditions, evaluated on the
-/// merged candidate row exactly like the backtracking engine does.
+/// merged candidate row exactly like the backtracking engine does. A
+/// correlated OPTIONAL reuses it with the left rows' RowId as the only
+/// key: its right side already extends those numbered rows.
 class LeftJoinOp : public Operator {
  public:
   LeftJoinOp(std::string detail, size_t width, std::shared_ptr<Operator> left,
@@ -1160,6 +1166,32 @@ class BindOp : public Operator {
  private:
   std::vector<std::pair<int, TermId>> const_binds_;
   std::vector<std::pair<int, int>> copy_outs_;
+};
+
+/// Numbers its input rows 1, 2, ... into a hidden `#rN` slot: the
+/// per-left-row key a correlated OPTIONAL joins its right side back
+/// on, so duplicate left rows keep their own extensions.
+class RowIdOp : public Operator {
+ public:
+  RowIdOp(std::string detail, size_t width, std::shared_ptr<Operator> input,
+          int slot)
+      : Operator("RowId", std::move(detail), width, {std::move(input)}),
+        slot_(slot) {}
+
+ protected:
+  void Compute(ExecCtx& ctx) override {
+    const BindingTable& in = children_[0]->Output(ctx);
+    std::vector<TermId> row(width_, kNoTerm);
+    for (size_t r = 0; r < in.size(); ++r) {
+      const TermId* src = in.Row(r);
+      std::copy(src, src + width_, row.begin());
+      row[slot_] = static_cast<TermId>(r + 1);
+      Append(ctx, row.data());
+    }
+  }
+
+ private:
+  int slot_;
 };
 
 /// Iterative transitive closure over a constant predicate (`p+` /
@@ -1328,7 +1360,7 @@ std::string ShortTerm(const rdf::Dictionary& dict, TermId id) {
 
 class PlanBuilder {
  public:
-  PlanBuilder(const CompiledQuery& q, const rdf::Store& store,
+  PlanBuilder(CompiledQuery& q, const rdf::Store& store,
               const rdf::Dictionary& dict, const rdf::Stats* stats,
               bool merge_joins, int threads, const PlanScript* replay,
               PlanScript* record, uint64_t root_cap)
@@ -1343,7 +1375,16 @@ class PlanBuilder {
         record_(record),
         root_cap_(root_cap) {}
 
+  /// Plans the query once. The correlation analysis runs first, so the
+  /// hidden `#rN` row-id slots of the kept plan are known and the row
+  /// width is fixed before any operator captures it.
   std::shared_ptr<Operator> Build(const AstQuery& ast) {
+    row_id_base_ = q_.var_names.size();
+    row_ids_ = Analyze(q_.root, {}, {}, false, {}).row_ids;
+    for (int i = 0; i < row_ids_; ++i) {
+      q_.var_names.push_back("#r" + std::to_string(i));
+    }
+    q_.width = width_ = q_.var_names.size();
     Chain root = BuildGroup(q_.root, Singleton(), nullptr, {});
     std::string label = ProjectLabel(ast);
     if (root_cap_ > 0) {
@@ -1355,13 +1396,6 @@ class PlanBuilder {
     project->est_rows = root.est;
     return project;
   }
-
-  /// False when the query correlates across more than one OPTIONAL
-  /// nesting level (a filter or consumed seed referencing bindings the
-  /// standalone right side can never see) — a shape bottom-up hash
-  /// left joins cannot evaluate; the engine falls back to the
-  /// backtracking evaluator then.
-  bool supported() const { return supported_; }
 
  private:
   struct Chain {
@@ -1623,17 +1657,168 @@ class PlanBuilder {
     st.op = std::move(op);
   }
 
+  // --- correlation analysis ------------------------------------------------
+
+  /// What planning a group from rows binding `certain`/`scope` yields,
+  /// worked out from variable sets alone: the group's stages fix which
+  /// slots its rows bind, whatever operators the search then picks.
+  struct Shape {
+    std::set<int> certain, scope;  // as the built Chain's
+    /// Hidden variables a condition of the group needs but its rows may
+    /// lack: an OPTIONAL whose right side escapes one its left rows
+    /// carry is planned correlated; the rest escape further out.
+    std::set<int> escaped;
+    std::set<int> deferred;  // variables of the filters handed up
+    int row_ids = 0;         // correlated OPTIONALs in the kept plan
+  };
+
+  /// How an OPTIONAL entered from rows binding `certain`/`scope` plans:
+  /// standalone, or correlated when a seed, filter or nested OPTIONAL of
+  /// the standalone right side needs a binding only those rows carry.
+  struct OptionalShape {
+    bool correlated = false;
+    Shape right;            // the right side as planned
+    std::set<int> escaped;  // what the left join escapes outward
+  };
+
+  OptionalShape AnalyzeOptional(const CGroup& opt,
+                                const std::set<int>& certain,
+                                const std::set<int>& scope,
+                                const std::set<int>& hidden) {
+    OptionalShape out;
+    std::set<int> right_hidden = hidden;
+    right_hidden.insert(scope.begin(), scope.end());
+    out.right = Analyze(opt, {}, {}, true, right_hidden);
+    out.escaped = out.right.escaped;
+    for (auto [local, outer] : opt.seeds) {
+      // No hash key can express a seed on a possibly-unbound outer.
+      if (!scope.count(local) && !certain.count(outer)) {
+        out.escaped.insert(outer);
+      }
+    }
+    out.correlated = std::any_of(out.escaped.begin(), out.escaped.end(),
+                                 [&](int v) { return scope.count(v) > 0; });
+    if (out.correlated) {
+      // Seeds fire on the left rows (see BuildGroup).
+      std::set<int> c = certain, s = scope;
+      out.escaped.clear();
+      for (auto [local, outer] : opt.seeds) {
+        if (c.count(outer)) {
+          c.insert(local);
+        } else if (hidden.count(outer)) {
+          out.escaped.insert(outer);
+        }
+        if (s.count(outer)) s.insert(local);
+      }
+      out.right = Analyze(opt, c, s, true, hidden);
+      out.escaped.insert(out.right.escaped.begin(), out.right.escaped.end());
+    }
+    // Residual conditions are decided on the merged row. One needing a
+    // hidden binding the merged row may lack escapes, and so does a
+    // right side that may bind a hidden variable the left rows lack (it
+    // would ignore the hidden value).
+    for (int v : out.right.deferred) {
+      if (hidden.count(v) && !certain.count(v) && !out.right.certain.count(v)) {
+        out.escaped.insert(v);
+      }
+    }
+    for (int v : out.right.scope) {
+      if (hidden.count(v) && !certain.count(v)) out.escaped.insert(v);
+    }
+    return out;
+  }
+
+  /// The Shape of `g` entered from rows binding `certain`/`scope`;
+  /// `deferring` when its leftover filters can be handed up (an
+  /// OPTIONAL right side), `hidden` as in BuildGroup. Memoized: a
+  /// correlated OPTIONAL's right side is analyzed both standalone and
+  /// on its left rows, and nested ones meet the same contexts again.
+  Shape Analyze(const CGroup& g, const std::set<int>& certain,
+                const std::set<int>& scope, bool deferring,
+                const std::set<int>& hidden) {
+    auto key = std::make_tuple(&g, certain, scope, deferring, hidden);
+    auto it = shapes_.find(key);
+    if (it != shapes_.end()) return it->second;
+    Shape sh;
+    sh.certain = certain;
+    for (const CPattern& p : g.patterns) {
+      const std::set<int> vars = PatternVars(p);
+      sh.certain.insert(vars.begin(), vars.end());
+    }
+    for (auto [slot, id] : g.const_binds) {
+      (void)id;
+      sh.certain.insert(slot);
+    }
+    for (const CPath& p : g.paths) {
+      if (p.subj.slot >= 0) sh.certain.insert(p.subj.slot);
+      if (p.obj.slot >= 0) sh.certain.insert(p.obj.slot);
+    }
+    sh.scope = scope;
+    sh.scope.insert(sh.certain.begin(), sh.certain.end());
+    for (const auto& alternatives : g.unions) {
+      std::optional<std::set<int>> both;
+      std::set<int> any;
+      for (const CGroup& alt : alternatives) {
+        Shape b = Analyze(alt, sh.certain, sh.scope, false, hidden);
+        if (both) {
+          std::set<int> inter;
+          std::set_intersection(both->begin(), both->end(), b.certain.begin(),
+                                b.certain.end(),
+                                std::inserter(inter, inter.begin()));
+          both = std::move(inter);
+        } else {
+          both = std::move(b.certain);
+        }
+        any.insert(b.scope.begin(), b.scope.end());
+        sh.escaped.insert(b.escaped.begin(), b.escaped.end());
+        sh.row_ids += b.row_ids;
+      }
+      if (both) sh.certain = std::move(*both);
+      sh.scope.insert(any.begin(), any.end());
+    }
+    for (const CGroup& opt : g.optionals) {
+      OptionalShape o = AnalyzeOptional(opt, sh.certain, sh.scope, hidden);
+      sh.escaped.insert(o.escaped.begin(), o.escaped.end());
+      sh.row_ids += o.right.row_ids + (o.correlated ? 1 : 0);
+      sh.scope.insert(o.right.scope.begin(), o.right.scope.end());
+    }
+    for (auto [dst, src] : g.copy_outs) {
+      sh.scope.insert(dst);
+      if (sh.certain.count(src)) sh.certain.insert(dst);
+    }
+    // The filters left at the group's end (see BuildGroup).
+    for (const CExpr& f : g.filters) {
+      std::set<int> vars;
+      Compiler::CollectVars(f, vars);
+      if (Subset(vars, sh.certain)) continue;
+      bool needs_hidden = false;
+      for (int v : vars) {
+        if (hidden.count(v) && !sh.certain.count(v)) {
+          needs_hidden = true;
+          if (!deferring) sh.escaped.insert(v);
+        }
+      }
+      if (deferring && (needs_hidden || !Subset(vars, sh.scope))) {
+        sh.deferred.insert(vars.begin(), vars.end());
+      }
+    }
+    shapes_.emplace(std::move(key), sh);
+    return sh;
+  }
+
   // --- group planning ------------------------------------------------------
 
   /// Plans one group: cost-ordered pattern joins, then union joins,
   /// then optional left joins, then copy-outs and residual filters —
-  /// the same stage order the backtracking engine evaluates. Filters
-  /// whose variables escape the group (outer references inside an
-  /// OPTIONAL) are handed back through `deferred` and become left-join
-  /// conditions.
+  /// the same stage order the backtracking engine evaluates. `hidden`
+  /// holds the variables the enclosing context may bind but the
+  /// group's rows do not carry (everything left of each standalone
+  /// OPTIONAL right side around it). Filters needing one of those are
+  /// handed back through `deferred` and become left-join conditions;
+  /// where that cannot work, the OPTIONAL plans correlated (Analyze).
   Chain BuildGroup(const CGroup& g, Chain base,
                    std::vector<const CExpr*>* deferred,
-                   const std::set<int>& outer_scope) {
+                   const std::set<int>& hidden) {
     Chain st = std::move(base);
 
     // Constant bindings: substituted into the patterns (so scans and
@@ -2076,7 +2261,7 @@ class PlanBuilder {
     for (const auto& alternatives : g.unions) {
       std::vector<Chain> branches;
       for (const CGroup& alt : alternatives) {
-        branches.push_back(BuildGroup(alt, st, nullptr, outer_scope));
+        branches.push_back(BuildGroup(alt, st, nullptr, hidden));
       }
       std::vector<std::shared_ptr<Operator>> ops;
       std::set<int> certain = branches[0].certain;
@@ -2108,40 +2293,60 @@ class PlanBuilder {
       ApplyEligible(st, pending);
     }
 
-    // Optionals: hash left joins against the standalone right side.
+    // Optionals: hash left joins against the standalone right side, or,
+    // when the right side needs a binding only the left rows carry
+    // (correlated), against the right side planned on top of the
+    // numbered left rows, joined back on the row id.
     for (const CGroup& opt : g.optionals) {
       std::vector<const CExpr*> residual;
-      Chain right = BuildGroup(opt, Singleton(), &residual, st.scope);
       std::vector<std::pair<int, int>> keys;
-      for (auto [local, outer] : opt.seeds) {
-        // A seed whose local variable may already be bound on the
-        // outer side falls back to the merge compatibility check (the
-        // backtracking engine's seed fires only on unbound slots).
-        if (st.scope.count(local)) continue;
-        if (st.certain.count(outer)) {
-          keys.emplace_back(outer, local);
-        } else {
-          // The consumed equality references a binding from beyond
-          // this join's left side; no hash key can express it.
-          supported_ = false;
+      std::shared_ptr<Operator> left = st.op;
+      Chain right;
+      if (!AnalyzeOptional(opt, st.certain, st.scope, hidden).correlated) {
+        std::set<int> right_hidden = hidden;
+        right_hidden.insert(st.scope.begin(), st.scope.end());
+        right = BuildGroup(opt, Singleton(), &residual, right_hidden);
+        for (auto [local, outer] : opt.seeds) {
+          // A seed whose local variable may already be bound on the
+          // outer side falls back to the merge compatibility check (the
+          // backtracking engine's seed fires only on unbound slots).
+          if (st.scope.count(local)) continue;
+          if (st.certain.count(outer)) keys.emplace_back(outer, local);
         }
+        for (int s : st.certain) {
+          if (right.certain.count(s)) keys.emplace_back(s, s);
+        }
+      } else {
+        // The row id is the only key, so it stays out of the Chain's
+        // sets: the right side's joins never see it.
+        const int id = RowIdSlot();
+        left = std::make_shared<RowIdOp>(VarName(id), width_, st.op, id);
+        left->est_rows = st.est;
+        Chain base = st;
+        base.op = left;
+        base.is_singleton = false;  // the numbered rows are the base
+        if (!opt.seeds.empty()) {
+          // Seeds fire on the left rows themselves, as the backtracking
+          // engine's do: local := outer wherever local is unbound.
+          std::string detail;
+          for (auto [local, outer] : opt.seeds) {
+            if (!detail.empty()) detail += ", ";
+            detail += VarName(local) + " := " + VarName(outer);
+            if (base.certain.count(outer)) base.certain.insert(local);
+            if (base.scope.count(outer)) base.scope.insert(local);
+          }
+          auto bind = std::make_shared<BindOp>(
+              detail, width_, base.op, std::vector<std::pair<int, TermId>>{},
+              opt.seeds);
+          bind->est_rows = base.est;
+          base.op = std::move(bind);
+        }
+        right = BuildGroup(opt, std::move(base), &residual, hidden);
+        keys = {{id, id}};
       }
-      for (int s : st.certain) {
-        if (right.certain.count(s)) keys.emplace_back(s, s);
-      }
-      // Residual conditions must be decidable on the merged row;
-      // anything referencing bindings from further out escapes the
-      // bottom-up evaluation entirely.
-      std::set<int> merged_scope = st.scope;
-      merged_scope.insert(right.scope.begin(), right.scope.end());
       std::string detail = KeysLabel(keys);
-      for (const CExpr* f : residual) {
-        std::set<int> vars;
-        Compiler::CollectVars(*f, vars);
-        if (!Subset(vars, merged_scope)) supported_ = false;
-        detail += " if " + ExprLabel(*f);
-      }
-      auto op = std::make_shared<LeftJoinOp>(detail, width_, st.op, right.op,
+      for (const CExpr* f : residual) detail += " if " + ExprLabel(*f);
+      auto op = std::make_shared<LeftJoinOp>(detail, width_, left, right.op,
                                              keys, residual, dict_);
       op->est_rows = st.est;
       st.op = std::move(op);
@@ -2170,17 +2375,9 @@ class PlanBuilder {
     std::string end_detail;
     for (const Pending& p : pending) {
       bool escapes = false;
-      if (deferred == nullptr) {
-        // Union branches cannot hand conditions up (they would lose
-        // their branch association); a filter referencing enclosing
-        // possibly-bound variables is undecidable here.
-        for (int v : p.vars) {
-          if (outer_scope.count(v) && !st.certain.count(v)) {
-            supported_ = false;
-            break;
-          }
-        }
-      }
+      // Union branches cannot hand conditions up (they would lose their
+      // branch association); one needing a hidden binding makes the
+      // enclosing OPTIONAL correlated (Analyze), so it sees it here.
       if (deferred != nullptr) {
         // Defer when the filter references outer bindings the merged
         // row would see but a standalone right row cannot.
@@ -2188,7 +2385,7 @@ class PlanBuilder {
           escapes = true;
         } else {
           for (int v : p.vars) {
-            if (outer_scope.count(v) && !st.certain.count(v)) {
+            if (hidden.count(v) && !st.certain.count(v)) {
               escapes = true;
               break;
             }
@@ -2213,7 +2410,16 @@ class PlanBuilder {
     return st;
   }
 
-  const CompiledQuery& q_;
+  /// The next hidden `#rN` row-id slot, in build order; Build appended
+  /// exactly as many as Analyze counted for the kept plan.
+  int RowIdSlot() {
+    if (next_row_id_ >= row_ids_) {
+      throw std::logic_error("planner: row-id slots miscounted");
+    }
+    return static_cast<int>(row_id_base_) + next_row_id_++;
+  }
+
+  CompiledQuery& q_;
   const rdf::Store& store_;
   const rdf::Dictionary& dict_;
   const rdf::Stats* stats_;
@@ -2230,7 +2436,14 @@ class PlanBuilder {
   PlanScript* record_ = nullptr;
   size_t replay_pos_ = 0;
   uint64_t root_cap_ = 0;  // LIMIT pushdown cap for the root's child
-  bool supported_ = true;
+  /// Analyze's memo, keyed by group and entry context.
+  std::map<std::tuple<const CGroup*, std::set<int>, std::set<int>, bool,
+                      std::set<int>>,
+           Shape>
+      shapes_;
+  size_t row_id_base_ = 0;  // slot of `#r0`
+  int row_ids_ = 0;         // `#rN` slots the kept plan holds
+  int next_row_id_ = 0;
 };
 
 }  // namespace
@@ -2315,7 +2528,7 @@ std::string Plan::Explain() const {
   return out;
 }
 
-Plan BuildPlan(const internal::CompiledQuery& q, const AstQuery& ast,
+Plan BuildPlan(internal::CompiledQuery& q, const AstQuery& ast,
                const rdf::Store& store, const rdf::Dictionary& dict,
                const rdf::Stats* stats, bool merge_joins, int threads,
                const PlanScript* replay, PlanScript* record,
@@ -2328,7 +2541,6 @@ Plan BuildPlan(const internal::CompiledQuery& q, const AstQuery& ast,
                                 replay, record, root_cap);
   Plan plan;
   plan.root_ = builder.Build(ast);
-  plan.supported_ = builder.supported();
   return plan;
 }
 

@@ -1,11 +1,13 @@
 #include "sp2b/store/live_store.h"
 
 #include <algorithm>
+#include <new>
 #include <stdexcept>
 #include <string_view>
 #include <tuple>
 #include <utility>
 
+#include "sp2b/fault.h"
 #include "sp2b/store/ntriples.h"
 
 namespace sp2b::rdf {
@@ -328,6 +330,10 @@ void LiveStore::CompactNow() {
   size_t consumed = snap->runs_.size();
 
   auto merged = std::make_shared<IndexStore>();
+  if (fault::Probe(fault::Site::kLiveCompact).kind ==
+      fault::Outcome::Kind::kFail) {
+    throw std::bad_alloc();  // scripted allocation failure mid-merge
+  }
   snap->Match(TriplePattern{}, [&](const Triple& t) {
     merged->Add(t);
     return true;
@@ -363,7 +369,13 @@ void LiveStore::CompactorLoop() {
       if (stop_) return;
       compact_pending_ = false;
     }
-    CompactNow();
+    try {
+      CompactNow();
+    } catch (const std::exception&) {
+      // Nothing was published: readers keep the last snapshot, and the
+      // next commit past the run threshold wakes a retry.
+      compaction_failures_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -381,6 +393,8 @@ IngestStats LiveStore::ingest_stats() const {
   stats.epochs = snap->epoch();
   stats.generation = snap->generation();
   stats.compactions = compactions_.load(std::memory_order_relaxed);
+  stats.compaction_failures =
+      compaction_failures_.load(std::memory_order_relaxed);
   stats.delta_runs = snap->delta_runs();
   stats.delta_triples = snap->delta_triples();
   stats.pinned_snapshots = pins_->live.load(std::memory_order_relaxed);

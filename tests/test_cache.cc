@@ -1,6 +1,7 @@
 // The endpoint caching layer: canonicalization equivalence classes,
 // the plan/result cache LRUs, PlanScript record/replay result
-// identity, server-level cache hits + invalidation over HTTP, and the
+// identity (catalog queries and correlated OPTIONAL shapes),
+// server-level cache hits + invalidation over HTTP, and the
 // strict-numeric-parsing regressions (FILTER/ORDER BY type errors,
 // Content-Length rejection, shared parse helpers).
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "sp2b/store/index_store.h"
 #include "sp2b/store/ntriples.h"
 #include "sp2b/strict_parse.h"
+#include "nested_shapes.h"
 #include "test_util.h"
 
 using namespace sp2b;
@@ -56,32 +58,6 @@ std::string ReplaceOnce(std::string text, const std::string& from,
   if (pos != std::string::npos) text.replace(pos, from.size(), to);
   return text;
 }
-
-uint64_t StatsCounter(const std::string& json, const std::string& name) {
-  size_t pos = json.find("\"" + name + "\":");
-  if (pos == std::string::npos) return 0;
-  pos = json.find(':', pos);
-  return std::strtoull(json.c_str() + pos + 1, nullptr, 10);
-}
-
-/// Inline N-Triples document for the handcrafted numeric fixtures.
-struct InlineDoc {
-  rdf::Dictionary dict;
-  rdf::IndexStore store;
-
-  explicit InlineDoc(const std::string& text) {
-    std::istringstream in(text);
-    rdf::ParseNTriples(in, dict, store);
-    store.Finalize();
-  }
-
-  sparql::QueryResult Run(const std::string& query_text,
-                          sparql::EngineConfig cfg) {
-    sparql::AstQuery ast = ParseText(query_text);
-    sparql::Engine engine(store, dict, cfg, nullptr);
-    return engine.Execute(ast);
-  }
-};
 
 }  // namespace
 
@@ -330,13 +306,39 @@ SP2B_TEST(plan_replay_identical) {
   sparql::QueryResult fallback = engine.ExecutePrepared(
       q4, sparql::QueryLimits::None(), &garbage, nullptr);
   CHECK(Grid(fallback, *doc.dict) == Grid(engine.Execute(q4), *doc.dict));
+
+  // Correlated OPTIONALs plan like every other SELECT, so their
+  // scripts are valid and enter the plan cache: replaying one (its
+  // merges include the ones over the numbered left rows) must give
+  // the backtracking evaluator's grid.
+  for (const test::NestedShape& shape : test::NestedShapes()) {
+    if (!shape.correlated) continue;
+    LoadedDocument inline_doc = test::InlineDocument(shape.data);
+    sparql::AstQuery ast = ParseText(shape.query);
+    sparql::Engine planned(*inline_doc.store, *inline_doc.dict,
+                           sparql::EngineConfig::Planned(), nullptr);
+    sparql::PlanScript recorded;
+    sparql::QueryResult first = planned.ExecutePrepared(
+        ast, sparql::QueryLimits::None(), nullptr, &recorded);
+    CHECK(recorded.valid);
+    sparql::QueryResult replayed = planned.ExecutePrepared(
+        ast, sparql::QueryLimits::None(), &recorded, nullptr);
+    const std::vector<std::string> reference = Grid(
+        test::RunQuery(inline_doc, shape.query, sparql::EngineConfig::Naive()),
+        *inline_doc.dict);
+    if (Grid(first, *inline_doc.dict) != reference ||
+        Grid(replayed, *inline_doc.dict) != reference) {
+      throw test::CheckFailure("replayed grid differs for " +
+                               std::string(shape.name));
+    }
+  }
 }
 
 SP2B_TEST(strict_numeric_filter) {
   // A numeric-typed literal whose lexical form does not parse is a
   // SPARQL type error: the comparison errors and the row is rejected —
   // previously atof("12abc") read 12 and let the row through.
-  InlineDoc doc(
+  LoadedDocument doc = test::InlineDocument(
       "<http://e/a> <http://e/p> "
       "\"12abc\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n"
       "<http://e/b> <http://e/p> "
@@ -344,7 +346,8 @@ SP2B_TEST(strict_numeric_filter) {
       "<http://e/c> <http://e/p> "
       "\"07\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n");
   for (const char* level : {"naive", "semantic", "planned"}) {
-    sparql::QueryResult r = doc.Run(
+    sparql::QueryResult r = test::RunQuery(
+        doc,
         "SELECT ?s WHERE { ?s <http://e/p> ?v "
         "FILTER (?v >= \"5\"^^xsd:integer) }",
         sparql::EngineConfig::ByName(level));
@@ -352,7 +355,8 @@ SP2B_TEST(strict_numeric_filter) {
     CHECK_EQ(r.rows.size(), size_t{2});
     // The malformed literal is rejected by every comparison operator,
     // including < (a type error is not "less than").
-    sparql::QueryResult lt = doc.Run(
+    sparql::QueryResult lt = test::RunQuery(
+        doc,
         "SELECT ?s WHERE { ?s <http://e/p> ?v "
         "FILTER (?v < \"100\"^^xsd:integer) }",
         sparql::EngineConfig::ByName(level));
@@ -361,15 +365,16 @@ SP2B_TEST(strict_numeric_filter) {
 
   // ORDER BY: well-formed numbers sort by value ("9" before "100"),
   // and a malformed numeric does not masquerade as its prefix digits.
-  InlineDoc order_doc(
+  LoadedDocument order_doc = test::InlineDocument(
       "<http://e/a> <http://e/p> \"100\" .\n"
       "<http://e/b> <http://e/p> \"9\" .\n");
-  sparql::QueryResult ordered = order_doc.Run(
+  sparql::QueryResult ordered = test::RunQuery(
+      order_doc,
       "SELECT ?v WHERE { ?s <http://e/p> ?v } ORDER BY ?v",
       sparql::EngineConfig::Semantic());
   CHECK_EQ(ordered.rows.size(), size_t{2});
-  CHECK_EQ(ordered.RowToString(0, order_doc.dict), "v=\"9\"");
-  CHECK_EQ(ordered.RowToString(1, order_doc.dict), "v=\"100\"");
+  CHECK_EQ(ordered.RowToString(0, *order_doc.dict), "v=\"9\"");
+  CHECK_EQ(ordered.RowToString(1, *order_doc.dict), "v=\"100\"");
 }
 
 SP2B_TEST(strict_parse_helpers) {
@@ -463,10 +468,10 @@ SP2B_TEST(server_cache_hits) {
   CHECK_EQ(second.status, 200);
   CHECK(first.body == second.body);
   std::string stats = client.Get("/stats").body;
-  CHECK(StatsCounter(stats, "result_hits") >= 1);
-  CHECK(StatsCounter(stats, "result_misses") >= 1);
-  CHECK(StatsCounter(stats, "result_entries") >= 1);
-  CHECK_EQ(StatsCounter(stats, "store_generation"), uint64_t{0});
+  CHECK(test::StatsCounter(stats, "result_hits") >= 1);
+  CHECK(test::StatsCounter(stats, "result_misses") >= 1);
+  CHECK(test::StatsCounter(stats, "result_entries") >= 1);
+  CHECK_EQ(test::StatsCounter(stats, "store_generation"), uint64_t{0});
 
   // Same template, different OFFSET: distinct result key, shared plan
   // -> a plan-cache hit without a result-cache hit.
@@ -477,19 +482,19 @@ SP2B_TEST(server_cache_hits) {
   CHECK_EQ(client.Get("/sparql?query=" + net::PercentEncode(q11b)).status,
            200);
   stats = client.Get("/stats").body;
-  CHECK(StatsCounter(stats, "plan_hits") >= 1);
-  CHECK(StatsCounter(stats, "plan_entries") >= 1);
+  CHECK(test::StatsCounter(stats, "plan_hits") >= 1);
+  CHECK(test::StatsCounter(stats, "plan_entries") >= 1);
 
   // Invalidation: generation bumps, the repeat is a miss again but
   // still byte-identical.
-  uint64_t misses_before = StatsCounter(stats, "result_misses");
+  uint64_t misses_before = test::StatsCounter(stats, "result_misses");
   server.InvalidateCaches();
   net::HttpResponse third = client.Get(path);
   CHECK_EQ(third.status, 200);
   CHECK(third.body == first.body);
   stats = client.Get("/stats").body;
-  CHECK_EQ(StatsCounter(stats, "store_generation"), uint64_t{1});
-  CHECK(StatsCounter(stats, "result_misses") > misses_before);
+  CHECK_EQ(test::StatsCounter(stats, "store_generation"), uint64_t{1});
+  CHECK(test::StatsCounter(stats, "result_misses") > misses_before);
   server.Stop();
 }
 

@@ -18,15 +18,23 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "sp2b/fault.h"
+#include "sp2b/gen/year_batches.h"
 #include "sp2b/net/http.h"
+#include "sp2b/net/protocol.h"
 #include "sp2b/net/server.h"
 #include "sp2b/queries.h"
 #include "sp2b/runner.h"
+#include "sp2b/sparql/parser.h"
+#include "sp2b/store/index_store.h"
+#include "sp2b/store/live_store.h"
+#include "sp2b/store/ntriples.h"
 #include "test_util.h"
 
 using namespace sp2b;
@@ -482,6 +490,82 @@ SP2B_TEST(drain_force_close) {
   CHECK(stop_ms < 8000.0);
   CheckReconciled(m);
   wedged.Close();
+}
+
+// --------------------------------------------------------------------------
+// A compaction that runs out of memory must not take a live server
+// down: the compactor books the failure, queries keep answering from
+// the last published snapshot, and the next wake compacts for real.
+// --------------------------------------------------------------------------
+SP2B_TEST(compaction_failure) {
+  DisarmGuard guard;
+  gen::GeneratorConfig gen_cfg;
+  gen_cfg.triple_limit = 3000;
+  const std::vector<gen::YearBatch> batches =
+      gen::GenerateYearBatches(gen_cfg);
+  CHECK(batches.size() >= 4u);
+  rdf::LiveStore::Config live_cfg;
+  live_cfg.compact_after_runs = 2;  // the second commit wakes it
+  rdf::LiveStore live(live_cfg);
+  ServerConfig config;
+  config.result_cache = false;
+  SparqlServer server(live, config);
+  server.Start();
+  HttpClient client("127.0.0.1", server.port());
+  auto stat = [&](const char* name) {
+    return test::StatsCounter(client.Get("/stats").body, name);
+  };
+  auto wait_for = [&](const char* name, uint64_t want) {
+    for (int i = 0; i < 1000 && stat(name) < want; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return stat(name);
+  };
+  // The answer a bulk load of batches [0, last] gives, byte for byte.
+  const std::string query =
+      "SELECT ?s ?title WHERE { ?s dc:title ?title } ORDER BY ?s";
+  auto expected = [&](size_t last) {
+    std::string text;
+    for (size_t i = 0; i <= last; ++i) text += batches[i].ntriples;
+    rdf::Dictionary dict;
+    rdf::IndexStore store;
+    std::istringstream in(text);
+    rdf::ParseNTriples(in, dict, store);
+    store.Finalize();
+    sparql::Engine engine(store, dict, sparql::EngineConfig::Planned());
+    std::string body;
+    SerializeResults(engine.Execute(sparql::Parse(query, DefaultPrefixes())),
+                     dict, ResultFormat::kJson,
+                     [&](std::string_view piece) { body += piece; });
+    return body;
+  };
+  auto commit = [&](size_t i) {
+    HttpResponse r = client.Post("/update", "application/n-triples",
+                                 batches[i].ntriples);
+    CHECK_EQ(r.status, 200);
+  };
+
+  CHECK(fault::Arm("live.compact:nth=1:fail"));
+  commit(0);
+  commit(1);
+  CHECK_EQ(wait_for("compaction_failures", 1), uint64_t{1});
+  CHECK_EQ(stat("compactions"), uint64_t{0});
+  CHECK_EQ(stat("delta_runs"), uint64_t{2});  // last snapshot kept
+  HttpResponse during = client.Get(SparqlTarget(query));
+  CHECK_EQ(during.status, 200);
+  CHECK(during.body == expected(1));
+
+  fault::Disarm();
+  for (size_t i = 2; i < batches.size(); ++i) commit(i);
+  CHECK(wait_for("compactions", 1) >= 1u);
+  CHECK_EQ(stat("compaction_failures"), uint64_t{1});
+  HttpResponse after = client.Get(SparqlTarget(query));
+  CHECK_EQ(after.status, 200);
+  CHECK(after.body == expected(batches.size() - 1));
+  server.Stop();
+  // Every request succeeded: the failed compaction never surfaced.
+  const ServerMetrics& m = server.metrics();
+  CHECK_EQ(m.requests.load(), m.ok.load() + m.admin.load() + m.updates.load());
 }
 
 // A scheduling or drain regression hangs rather than fails; the

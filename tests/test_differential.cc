@@ -11,8 +11,11 @@
 // identical sorted results. One CTest case per query keeps failures
 // localized.
 #include <algorithm>
+#include <cctype>
+#include <chrono>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "sp2b/sparql/parser.h"
 #include "sp2b/store/index_store.h"
 #include "sp2b/store/ntriples.h"
+#include "nested_shapes.h"
 #include "test_util.h"
 
 using namespace sp2b;
@@ -198,74 +202,148 @@ SP2B_TEST(path_explain) {
   }
 }
 
-// Handcrafted shapes outside the benchmark set that historically broke
-// the rewrites: equality filters whose variable arrives pre-bound from
-// a sibling OPTIONAL (the seed rewrite must not consume them), and
-// conditions correlating across two OPTIONAL nesting levels (the plan
-// executor must detect the shape and fall back to backtracking).
+// The handcrafted shapes of nested_shapes.h: every level must match
+// naive, and the planned levels must run every shape through the
+// operator tree — every EXPLAIN line executed (numeric rows=), and
+// the correlated shapes visibly planned on numbered left rows.
 SP2B_TEST(nested_shapes) {
-  struct Shape {
-    const char* name;
-    const char* data;
-    const char* query;
-  };
-  const Shape shapes[] = {
-      {"sibling_optional_seed",
-       "<http://e/s> <http://e/p> <http://e/o1> .\n"
-       "<http://e/s> <http://e/q> <http://e/v1> .\n"
-       "<http://e/w> <http://e/r> <http://e/v1> .\n",
-       "SELECT * WHERE { ?s <http://e/p> ?o "
-       "OPTIONAL { ?s <http://e/q> ?v } "
-       "OPTIONAL { ?w <http://e/r> ?v FILTER (?v = ?o) } }"},
-      {"two_level_correlation",
-       "<http://e/a> <http://e/p> <http://e/x> .\n"
-       "<http://e/x> <http://e/q> <http://e/y> .\n"
-       "<http://e/y> <http://e/r> <http://e/a> .\n",
-       "SELECT * WHERE { ?s <http://e/p> ?x "
-       "OPTIONAL { ?x <http://e/q> ?y "
-       "OPTIONAL { ?y <http://e/r> ?z FILTER (?z = ?s) } } }"},
-      {"union_in_optional",
-       "<http://e/a> <http://e/p> <http://e/x> .\n"
-       "<http://e/x> <http://e/q> <http://e/y> .\n",
-       "SELECT * WHERE { ?s <http://e/p> ?x "
-       "OPTIONAL { { ?x <http://e/q> ?y FILTER (bound(?s)) } "
-       "UNION { ?x <http://e/q> ?y } } }"},
-      // A repeated variable within one pattern: the scan range of
-      // '?x <p> ?x' is sorted by its *object* component, so an
-      // order-aware merge join must gallop on that position even
-      // though the subject holds the same variable (regression: the
-      // planner once galloped on the subject of the o-sorted range
-      // and silently dropped every match).
-      {"repeated_variable_merge",
-       "<http://e/n1> <http://e/p> <http://e/n1> .\n"
-       "<http://e/n1> <http://e/p> <http://e/n2> .\n"
-       "<http://e/n2> <http://e/p> <http://e/n3> .\n"
-       "<http://e/n3> <http://e/p> <http://e/n3> .\n"
-       "<http://e/n1> <http://e/q> <http://e/one> .\n"
-       "<http://e/n3> <http://e/q> <http://e/one> .\n"
-       "<http://e/n5> <http://e/p> <http://e/n5> .\n"
-       "<http://e/n5> <http://e/q> <http://e/one> .\n",
-       "SELECT ?x WHERE { ?x <http://e/p> ?x . "
-       "?x <http://e/q> <http://e/one> }"},
-  };
-  for (const Shape& shape : shapes) {
-    LoadedDocument doc;
-    doc.dict = std::make_unique<rdf::Dictionary>();
-    doc.store = std::make_unique<rdf::IndexStore>();
-    std::istringstream in(shape.data);
-    rdf::ParseNTriples(in, *doc.dict, *doc.store);
-    doc.store->Finalize();
+  for (const test::NestedShape& shape : test::NestedShapes()) {
+    LoadedDocument doc = test::InlineDocument(shape.data);
     const std::vector<std::string> reference =
         SortedGrid(doc, shape.query, sparql::EngineConfig::Naive());
     for (const char* engine : kEngines) {
+      const sparql::EngineConfig cfg = sparql::EngineConfig::ByName(engine);
+      std::vector<std::string> grid = SortedGrid(doc, shape.query, cfg);
+      if (grid != reference) {
+        std::ostringstream msg;
+        msg << shape.name << " diverges on " << engine << ": got "
+            << grid.size() << " rows vs " << reference.size()
+            << " reference";
+        for (const std::string& row : grid) msg << "\n  got: " << row;
+        for (const std::string& row : reference) msg << "\n  ref: " << row;
+        throw sp2b::test::CheckFailure(msg.str());
+      }
+      if (!cfg.planned) continue;
+      sparql::Engine plan_engine(*doc.store, *doc.dict, cfg, nullptr);
+      std::string explain;
+      plan_engine.ExecuteExplained(
+          sparql::Parse(shape.query, DefaultPrefixes()),
+          sparql::QueryLimits::None(), &explain);
+      std::istringstream lines(explain);
+      std::string line;
+      bool ok = !explain.empty() &&
+                explain.find("unsupported") == std::string::npos &&
+                (explain.find("RowId") != std::string::npos) ==
+                    shape.correlated;
+      while (ok && std::getline(lines, line)) {
+        size_t at = line.find("rows=");
+        ok = at != std::string::npos && at + 5 < line.size() &&
+             std::isdigit(static_cast<unsigned char>(line[at + 5]));
+      }
+      if (!ok) {
+        throw sp2b::test::CheckFailure(std::string(shape.name) + " on " +
+                                       engine + ": unexpected plan:\n" +
+                                       explain);
+      }
+    }
+  }
+}
+
+// Pins the documented fixed-relation `p*` deviation at every level:
+// `p*` adds a self-pair only for nodes incident to a `p` edge, so a
+// node with no `p` edge reaches nothing (SPARQL 1.1 would pair it with
+// itself), and `?x p* ?x` relates exactly the incident nodes.
+SP2B_TEST(reflexive_path_semantics) {
+  LoadedDocument doc = test::InlineDocument(
+      "<http://e/a> <http://e/p> <http://e/b> .\n"
+      "<http://e/b> <http://e/p> <http://e/c> .\n"
+      "<http://e/d> <http://e/q> <http://e/d> .\n"
+      "<http://e/e> <http://e/q> <http://e/a> .\n");
+  struct Case {
+    const char* query;
+    std::vector<std::string> grid;
+  };
+  const Case cases[] = {
+      {"SELECT ?y WHERE { <http://e/d> <http://e/p>* ?y }", {}},
+      {"ASK { <http://e/d> <http://e/p>* <http://e/d> }", {"no"}},
+      {"SELECT ?x WHERE { ?x <http://e/p>* ?x }",
+       {"x=<http://e/a>", "x=<http://e/b>", "x=<http://e/c>"}},
+      {"SELECT ?y WHERE { <http://e/a> <http://e/p>* ?y }",
+       {"y=<http://e/a>", "y=<http://e/b>", "y=<http://e/c>"}},
+      {"SELECT ?y WHERE { <http://e/a> <http://e/p>+ ?y }",
+       {"y=<http://e/b>", "y=<http://e/c>"}},
+  };
+  for (const Case& c : cases) {
+    for (const char* engine : kEngines) {
       std::vector<std::string> grid =
-          SortedGrid(doc, shape.query, sparql::EngineConfig::ByName(engine));
-      if (grid == reference) continue;
+          SortedGrid(doc, c.query, sparql::EngineConfig::ByName(engine));
+      if (grid == c.grid) continue;
       std::ostringstream msg;
-      msg << shape.name << " diverges on " << engine << ": got "
-          << grid.size() << " rows vs " << reference.size() << " reference";
+      msg << c.query << " on " << engine << ": got " << grid.size()
+          << " rows, want " << c.grid.size();
       for (const std::string& row : grid) msg << "\n  got: " << row;
-      for (const std::string& row : reference) msg << "\n  ref: " << row;
+      throw sp2b::test::CheckFailure(msg.str());
+    }
+  }
+}
+
+// Twenty nested OPTIONALs, each filtering on its grandparent's
+// variable, so every level is correlated inside its parent. Each level
+// is decided once, before any operator is built: planning stays far
+// below a doubling per level, and the rows carry one hidden row-id
+// column per RowId the kept plan holds, at most one per level.
+SP2B_TEST(deep_correlated_optionals) {
+  constexpr int kDepth = 20;
+  auto x = [](int j) { return "?x" + std::to_string(j); };
+  // G_j = { ?xj <p> ?x(j+1) FILTER (?x(j+1) != ?x(j-2)) OPTIONAL G_(j+1) }
+  std::string group;
+  for (int j = kDepth; j >= 1; --j) {
+    std::string g = x(j) + " <http://e/p> " + x(j + 1);
+    if (j >= 2) g += " FILTER (" + x(j + 1) + " != " + x(j - 2) + ")";
+    if (!group.empty()) g += " OPTIONAL { " + group + " }";
+    group = std::move(g);
+  }
+  const std::string query =
+      "SELECT * WHERE { ?x0 <http://e/p> ?x1 OPTIONAL { " + group + " } }";
+  const size_t vars = kDepth + 2;  // ?x0 .. ?x21
+  // A three-cycle with an exit: the filters both pass and fail.
+  LoadedDocument doc = test::InlineDocument(
+      "<http://e/a> <http://e/p> <http://e/b> .\n"
+      "<http://e/b> <http://e/p> <http://e/c> .\n"
+      "<http://e/c> <http://e/p> <http://e/a> .\n"
+      "<http://e/c> <http://e/p> <http://e/d> .\n"
+      "<http://e/d> <http://e/p> <http://e/b> .\n");
+  const std::vector<std::string> reference =
+      SortedGrid(doc, query, sparql::EngineConfig::Naive());
+  const sparql::AstQuery ast = sparql::Parse(query, DefaultPrefixes());
+  for (const char* engine : {"planned", "planned-hash", "planned@4"}) {
+    sparql::Engine planned(*doc.store, *doc.dict,
+                           sparql::EngineConfig::ByName(engine), nullptr);
+    std::string explain;
+    const auto start = std::chrono::steady_clock::now();
+    sparql::QueryResult result = planned.ExecuteExplained(
+        ast, sparql::QueryLimits::None(), &explain);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    std::vector<std::string> grid;
+    for (size_t i = 0; i < result.row_count(); ++i) {
+      grid.push_back(result.RowToString(i, *doc.dict));
+    }
+    std::sort(grid.begin(), grid.end());
+    size_t row_ids = 0;  // left joins keyed on a row id
+    for (size_t at = explain.find("LeftJoin [?#r"); at != std::string::npos;
+         at = explain.find("LeftJoin [?#r", at + 1)) {
+      ++row_ids;
+    }
+    const size_t width = result.rows.width();
+    if (grid != reference || ms > 500.0 || row_ids == 0 ||
+        width != vars + row_ids || row_ids > kDepth) {
+      std::ostringstream msg;
+      msg << engine << ": " << grid.size() << " rows vs "
+          << reference.size() << " reference, " << ms << " ms, width "
+          << width << ", " << row_ids << " row-id left joins\n"
+          << explain;
       throw sp2b::test::CheckFailure(msg.str());
     }
   }

@@ -27,6 +27,7 @@
 #include "sp2b/runner.h"
 #include "sp2b/sparql/engine.h"
 #include "sp2b/sparql/parser.h"
+#include "test_util.h"
 
 using namespace sp2b;
 using namespace sp2b::net;
@@ -131,11 +132,7 @@ int StatusOf(HttpClient& client, const std::string& target) {
 /// Reads one counter out of the /stats JSON (0 when absent).
 uint64_t StatsCounter(HttpClient& client, const std::string& name) {
   HttpResponse resp = client.Get("/stats");
-  if (resp.status != 200) return 0;
-  std::string needle = "\"" + name + "\": ";
-  size_t pos = resp.body.find(needle);
-  if (pos == std::string::npos) return 0;
-  return std::strtoull(resp.body.c_str() + pos + needle.size(), nullptr, 10);
+  return resp.status == 200 ? test::StatsCounter(resp.body, name) : 0;
 }
 
 }  // namespace

@@ -82,13 +82,6 @@ std::string ConcatThrough(const std::vector<gen::YearBatch>& batches,
   return text;
 }
 
-uint64_t StatsCounter(const std::string& json, const std::string& name) {
-  size_t pos = json.find("\"" + name + "\":");
-  if (pos == std::string::npos) return 0;
-  pos = json.find(':', pos);
-  return std::strtoull(json.c_str() + pos + 1, nullptr, 10);
-}
-
 // Disable background compaction in the single-threaded cases so run
 // counts are deterministic; CompactNow() still covers the merge path.
 rdf::LiveStore::Config NoBackground() {
@@ -310,8 +303,8 @@ SP2B_TEST(cache_invalidation_wire) {
   CHECK_EQ(first.status, 200);
   CHECK(first.body == repeat.body);  // same epoch -> cached, identical
   std::string stats = client.Get("/stats").body;
-  CHECK(StatsCounter(stats, "result_hits") >= 1);
-  uint64_t generation_before = StatsCounter(stats, "store_generation");
+  CHECK(test::StatsCounter(stats, "result_hits") >= 1);
+  uint64_t generation_before = test::StatsCounter(stats, "store_generation");
 
   // Commit a new Article through the endpoint; the same GET must see
   // it immediately — the pre-commit cache entry is generation-dead.
@@ -338,9 +331,9 @@ SP2B_TEST(cache_invalidation_wire) {
   CHECK(client.Get(path).body == after.body);
 
   stats = client.Get("/stats").body;
-  CHECK(StatsCounter(stats, "store_generation") > generation_before);
-  CHECK_EQ(StatsCounter(stats, "updates"), uint64_t{2});
-  CHECK(StatsCounter(stats, "batches") >= batches.size() + 1);
+  CHECK(test::StatsCounter(stats, "store_generation") > generation_before);
+  CHECK_EQ(test::StatsCounter(stats, "updates"), uint64_t{2});
+  CHECK(test::StatsCounter(stats, "batches") >= batches.size() + 1);
   server.Stop();
 }
 
@@ -386,8 +379,8 @@ SP2B_TEST(update_endpoint_errors) {
   std::string stats = client.Get("/stats").body;
   // 405 (GET /update) + the two rejected bodies all land in
   // bad_requests; none count as successful updates.
-  CHECK_EQ(StatsCounter(stats, "bad_requests"), uint64_t{3});
-  CHECK_EQ(StatsCounter(stats, "updates"), uint64_t{0});
+  CHECK_EQ(test::StatsCounter(stats, "bad_requests"), uint64_t{3});
+  CHECK_EQ(test::StatsCounter(stats, "updates"), uint64_t{0});
   server.Stop();
 }
 

@@ -141,4 +141,34 @@ SP2B_TEST(errors) {
   CHECK(throws("SELECT ?s WHERE { \"lit\" ?p ?o }"));  // literal subject
 }
 
+// Groups and expressions nest at most 64 levels (the WHERE group is
+// the first); deeper input is refused before anything recurses on it.
+SP2B_TEST(nesting_limit) {
+  auto nested = [](int optionals) {
+    std::string text = "SELECT * WHERE { ?s <http://e/p> ?o ";
+    for (int i = 0; i < optionals; ++i) {
+      text += "OPTIONAL { ?s <http://e/p> ?o ";
+    }
+    return text + std::string(static_cast<size_t>(optionals) + 1, '}');
+  };
+  AstQuery deepest = Parse(nested(63), DefaultPrefixes());
+  CHECK_EQ(deepest.where.optionals.size(), size_t{1});
+  bool refused = false;
+  try {
+    Parse(nested(64), DefaultPrefixes());
+  } catch (const ParseError&) {
+    refused = true;
+  }
+  CHECK(refused);
+  refused = false;
+  try {
+    Parse("SELECT ?s WHERE { ?s ?p ?o FILTER (" + std::string(100, '!') +
+              "bound(?s)) }",
+          DefaultPrefixes());
+  } catch (const ParseError&) {
+    refused = true;
+  }
+  CHECK(refused);
+}
+
 SP2B_TEST_MAIN()

@@ -14,6 +14,7 @@
 #include "sp2b/store/index_store.h"
 #include "sp2b/store/ntriples.h"
 #include "sp2b/vocabulary.h"
+#include "nested_shapes.h"
 #include "test_util.h"
 
 using namespace sp2b;
@@ -41,26 +42,6 @@ sparql::QueryResult RunId(const std::string& id,
                               sparql::EngineConfig::Semantic()) {
   return RunOn(Fixture(), GetQuery(id).text, cfg);
 }
-
-/// Builds a document from inline N-Triples (prefixless, fully
-/// expanded IRIs) for the handcrafted negation fixtures.
-struct InlineDoc {
-  rdf::Dictionary dict;
-  rdf::IndexStore store;
-
-  explicit InlineDoc(const std::string& text) {
-    std::istringstream in(text);
-    rdf::ParseNTriples(in, dict, store);
-    store.Finalize();
-  }
-
-  sparql::QueryResult Run(const std::string& query_text,
-                          sparql::EngineConfig cfg) {
-    sparql::AstQuery ast = sparql::Parse(query_text, DefaultPrefixes());
-    sparql::Engine engine(store, dict, cfg, nullptr);
-    return engine.Execute(ast);
-  }
-};
 
 const char* kAllConfigs[] = {"naive", "indexed", "semantic"};
 
@@ -178,7 +159,7 @@ SP2B_TEST(q6_negation) {
   // Handcrafted fixture: Alice debuts 1950 (d1); Bob debuts 1951 with
   // two same-year publications (d3, d4) — both count as debut works;
   // Alice's 1951 papers (d2, d4) are excluded by the earlier d1.
-  InlineDoc doc(
+  LoadedDocument doc = test::InlineDocument(
       "<http://localhost/vocabulary/bench/Article> "
       "<http://www.w3.org/2000/01/rdf-schema#subClassOf> "
       "<http://xmlns.com/foaf/0.1/Document> .\n"
@@ -214,7 +195,7 @@ SP2B_TEST(q6_negation) {
       "\"Bob B\"^^<http://www.w3.org/2001/XMLSchema#string> .\n");
   for (const char* config : kAllConfigs) {
     sparql::QueryResult r =
-        doc.Run(GetQuery("q6").text, ConfigByName(config));
+        RunOn(doc, GetQuery("q6").text, ConfigByName(config));
     CHECK_EQ(r.row_count(), size_t{3});
     // Expected (yr, document) pairs: (1950,d1), (1951,d3), (1951,d4).
     std::set<std::pair<int64_t, std::string>> rows;
@@ -224,8 +205,8 @@ SP2B_TEST(q6_negation) {
       if (r.var_names[i] == "document") doc_slot = static_cast<int>(i);
     }
     for (size_t i = 0; i < r.row_count(); ++i) {
-      rows.emplace(*doc.dict.IntValue(r.rows.Row(i)[yr_slot]),
-                   doc.dict.Lookup(r.rows.Row(i)[doc_slot]).lexical);
+      rows.emplace(*doc.dict->IntValue(r.rows.Row(i)[yr_slot]),
+                   doc.dict->Lookup(r.rows.Row(i)[doc_slot]).lexical);
     }
     std::set<std::pair<int64_t, std::string>> expected = {
         {1950, "http://e/d1"}, {1951, "http://e/d3"}, {1951, "http://e/d4"}};
@@ -237,7 +218,7 @@ SP2B_TEST(q7_double_negation) {
   // D is cited by the uncited C1 -> excluded. E is cited only by C2,
   // and C2 is itself cited (by F) -> E qualifies. C2 is cited by the
   // uncited F -> excluded.
-  InlineDoc doc(
+  LoadedDocument doc = test::InlineDocument(
       "<http://localhost/vocabulary/bench/Article> "
       "<http://www.w3.org/2000/01/rdf-schema#subClassOf> "
       "<http://xmlns.com/foaf/0.1/Document> .\n"
@@ -272,9 +253,9 @@ SP2B_TEST(q7_double_negation) {
       "<http://e/C2> .\n");
   for (const char* config : kAllConfigs) {
     sparql::QueryResult r =
-        doc.Run(GetQuery("q7").text, ConfigByName(config));
+        RunOn(doc, GetQuery("q7").text, ConfigByName(config));
     CHECK_EQ(r.row_count(), size_t{1});
-    CHECK_EQ(doc.dict.Lookup(r.rows.Row(0)[r.projection[0]]).lexical,
+    CHECK_EQ(doc.dict->Lookup(r.rows.Row(0)[r.projection[0]]).lexical,
              std::string("title E"));
   }
 }
@@ -321,7 +302,7 @@ SP2B_TEST(engines_agree) {
 SP2B_TEST(equality_rewrite) {
   // An equality conjunct consumed by the semantic rewrite must leave
   // the erased variable visible to sibling conjuncts and projections.
-  InlineDoc doc(
+  LoadedDocument doc = test::InlineDocument(
       "<http://e/s1> <http://e/p> <http://e/v1> .\n"
       "<http://e/s1> <http://e/q> <http://e/v1> .\n"
       "<http://e/s2> <http://e/p> <http://e/v9> .\n"
@@ -330,14 +311,14 @@ SP2B_TEST(equality_rewrite) {
       "SELECT ?s ?a ?b WHERE { ?s <http://e/p> ?a . ?s <http://e/q> ?b "
       "FILTER (?a = ?b && ?b != <http://e/v9>) }";
   for (const char* config : kAllConfigs) {
-    sparql::QueryResult r = doc.Run(query, ConfigByName(config));
+    sparql::QueryResult r = RunOn(doc, query, ConfigByName(config));
     CHECK_EQ(r.row_count(), size_t{1});
     // ?b is bound in the result row even though the rewrite unified it.
-    CHECK_EQ(doc.dict.Lookup(r.rows.Row(0)[r.projection[2]]).lexical,
+    CHECK_EQ(doc.dict->Lookup(r.rows.Row(0)[r.projection[2]]).lexical,
              std::string("http://e/v1"));
   }
   // MIN over a non-numeric variable yields an unbound value, not "0".
-  sparql::QueryResult agg = doc.Run(
+  sparql::QueryResult agg = RunOn(doc,
       "SELECT (MIN(?a) AS ?m) WHERE { ?s <http://e/p> ?a }",
       sparql::EngineConfig::Semantic());
   CHECK_EQ(agg.row_count(), size_t{1});

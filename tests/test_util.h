@@ -4,7 +4,9 @@
 #ifndef SP2B_TESTS_TEST_UTIL_H_
 #define SP2B_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <sstream>
@@ -37,6 +39,14 @@ void CheckEqImpl(const A& a, const B& b, const char* ea, const char* eb,
   msg << file << ":" << line << ": CHECK_EQ(" << ea << ", " << eb
       << ") failed: " << a << " != " << b;
   throw CheckFailure(msg.str());
+}
+
+/// Reads one counter out of a /stats JSON body (0 when absent).
+inline uint64_t StatsCounter(const std::string& json, const std::string& name) {
+  size_t pos = json.find("\"" + name + "\":");
+  if (pos == std::string::npos) return 0;
+  pos = json.find(':', pos);
+  return std::strtoull(json.c_str() + pos + 1, nullptr, 10);
 }
 
 inline int RunTests(int argc, char** argv) {
