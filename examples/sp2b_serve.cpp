@@ -12,8 +12,7 @@
 //              [--timeout seconds] [--max-rows N] [--engine level]
 //              [--idle-timeout-ms N] [--send-timeout-ms N]
 //              [--drain-timeout-ms N] [--send-buffer BYTES]
-//              [--faults SPEC] [--no-plan-cache]
-//              [--plan-cache-entries N] [--no-result-cache]
+//              [--faults SPEC] [--plan-cache-entries N]
 //              [--result-cache-mb N] [--live]
 //              [--live-base-year YEAR] [--live-interval-ms N]
 //     --triples    generate the document in-process (seed 4711,
@@ -36,11 +35,11 @@
 //     --timeout    default per-query budget -> 408 (0 = none)
 //     --max-rows   default per-query row cap -> 413 (0 = none)
 //     --engine     naive|indexed|semantic|planned[-hash][@N]
-//     --no-plan-cache / --plan-cache-entries N
-//                  disable / bound the parameterized plan cache
-//                  (default on, 128 templates; planned engines only)
-//     --no-result-cache / --result-cache-mb N
-//                  disable / bound the result cache (default on, 32 MB)
+//     --plan-cache-entries N
+//                  bound the parameterized plan cache (default 128
+//                  templates, 0 = off; planned engines only)
+//     --result-cache-mb N
+//                  bound the result cache (default 32 MB, 0 = off)
 //     --send-timeout-ms  per-response send budget; a client that
 //                  cannot absorb its response in time is reaped
 //                  (default 10000, 0 = none)
@@ -88,8 +87,7 @@ int Usage() {
                "       [--timeout seconds] [--max-rows N] [--engine level]\n"
                "       [--idle-timeout-ms N] [--send-timeout-ms N]\n"
                "       [--drain-timeout-ms N] [--send-buffer BYTES]\n"
-               "       [--faults SPEC] [--no-plan-cache]\n"
-               "       [--plan-cache-entries N] [--no-result-cache]\n"
+               "       [--faults SPEC] [--plan-cache-entries N]\n"
                "       [--result-cache-mb N] [--live]\n"
                "       [--live-base-year YEAR] [--live-interval-ms N]\n");
   return 2;
@@ -187,11 +185,9 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "error: bad --faults spec: %s\n", error.c_str());
         return 2;
       }
-    } else if (arg == "--no-plan-cache") {
-      config.plan_cache = false;
     } else if (arg == "--plan-cache-entries") {
       if (!(value = next())) return Usage();
-      auto n = ParsePositiveCount(value);
+      auto n = ParseDigitsOnly(value);  // 0 = no plan cache
       if (!n) return Usage();
       config.plan_cache_entries = static_cast<size_t>(*n);
     } else if (arg == "--live") {
@@ -206,11 +202,9 @@ int Run(int argc, char** argv) {
       auto ms = ParseDigitsOnly(value);  // 0 = no pacing
       if (!ms || *ms > 3'600'000) return Usage();
       live_interval_ms = static_cast<int>(*ms);
-    } else if (arg == "--no-result-cache") {
-      config.result_cache = false;
     } else if (arg == "--result-cache-mb") {
       if (!(value = next())) return Usage();
-      auto n = ParsePositiveCount(value);
+      auto n = ParseDigitsOnly(value);  // 0 = no result cache
       if (!n || *n > 4096) return Usage();
       config.result_cache_mb = static_cast<size_t>(*n);
     } else {

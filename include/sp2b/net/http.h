@@ -1,5 +1,5 @@
 // Minimal HTTP/1.1 plumbing shared by the SPARQL endpoint server and
-// the bench_throughput HTTP client: request/response head parsing,
+// the HTTP client of the tests and benchmark: request/response head parsing,
 // percent and form-urlencoded codecs, a buffered keep-alive
 // connection over a POSIX socket (Content-Length and chunked bodies),
 // and a small blocking client. Everything above the socket layer is

@@ -71,12 +71,11 @@ struct ServerConfig {
   /// Parameterized plan cache (query_cache.h): canonical-fingerprint
   /// LRU of recorded planner decisions, replayed for repeat templates
   /// with a selectivity re-check per lookup. Only consulted by the
-  /// planned engine levels.
-  bool plan_cache = true;
+  /// planned engine levels; 0 entries turns it off.
   size_t plan_cache_entries = 128;
   /// Result cache: byte-budget LRU of serialized 200 responses keyed
-  /// by canonical result key + wire format + row cap.
-  bool result_cache = true;
+  /// by canonical result key + wire format + row cap; 0 MB turns it
+  /// off.
   size_t result_cache_mb = 32;
 };
 

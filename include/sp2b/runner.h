@@ -68,11 +68,6 @@ EngineSpec PlannedEngineSpec();
 /// order-aware merge joins are benchmarked against (bench_joins).
 EngineSpec PlannedHashEngineSpec();
 
-/// The operator-tree engine with `threads`-way intra-query
-/// parallelism (morsel-driven scans, partitioned hash joins,
-/// parallel unions); threads == 1 is exactly PlannedEngineSpec().
-EngineSpec ParallelEngineSpec(int threads);
-
 /// The optimization-level ablation lineup on the hexastore:
 /// naive -> indexed -> semantic -> planned.
 std::vector<EngineSpec> OptimizerLevelSpecs();

@@ -79,7 +79,8 @@ class Plan {
                         const rdf::Store& store, const rdf::Dictionary& dict,
                         const rdf::Stats* stats, bool merge_joins,
                         int threads, const PlanScript* replay,
-                        PlanScript* record, uint64_t root_cap);
+                        PlanScript* record, uint64_t root_cap,
+                        const QueryLimits& limits);
 
   std::shared_ptr<internal::Operator> root_;
 };
@@ -100,6 +101,9 @@ class Plan {
 /// operator's materialization at that many rows (LIMIT pushdown: the
 /// engine passes offset+limit when no ORDER BY/DISTINCT/aggregate
 /// needs the full result); execution below the root is unaffected.
+/// `limits`' deadline covers planning too: the join-order search and
+/// the correlation analysis poll it and throw QueryTimeout, so a huge
+/// group cannot hold a worker past its budget before execution starts.
 /// Every SELECT plans: an OPTIONAL whose conditions need outer
 /// bindings is planned on top of its numbered left rows. Those
 /// OPTIONALs are found before any operator is built; their hidden
@@ -109,7 +113,8 @@ Plan BuildPlan(internal::CompiledQuery& q, const AstQuery& ast,
                const rdf::Store& store, const rdf::Dictionary& dict,
                const rdf::Stats* stats, bool merge_joins = true,
                int threads = 1, const PlanScript* replay = nullptr,
-               PlanScript* record = nullptr, uint64_t root_cap = 0);
+               PlanScript* record = nullptr, uint64_t root_cap = 0,
+               const QueryLimits& limits = QueryLimits::None());
 
 }  // namespace sp2b::sparql
 

@@ -122,11 +122,11 @@ SparqlServer::SparqlServer(rdf::LiveStore& live, ServerConfig config)
 }
 
 void SparqlServer::InitCaches() {
-  if (config_.plan_cache && engine_config_.planned) {
+  if (config_.plan_cache_entries > 0 && engine_config_.planned) {
     plan_cache_ =
         std::make_unique<sparql::PlanCache>(config_.plan_cache_entries);
   }
-  if (config_.result_cache && config_.result_cache_mb > 0) {
+  if (config_.result_cache_mb > 0) {
     result_cache_ = std::make_unique<sparql::ResultCache>(
         config_.result_cache_mb * size_t{1024 * 1024});
     query_memo_ = std::make_unique<sparql::QueryTextMemo>(1024);
@@ -229,14 +229,16 @@ void SparqlServer::Stop() {
   }
 
   // Phase 1: stop accepting. Shutting the listener down wakes a
-  // blocked accept(); the loop sees stop_accepting_ and exits.
+  // blocked accept(); the loop sees stop_accepting_ and exits. The fd
+  // is closed only after the join: AcceptLoop reads listen_fd_, and a
+  // number closed under it could be reused and accept()ed.
   stop_accepting_.store(true);
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // Phase 2: drain. SHUT_RD gives idle keep-alive readers immediate
   // EOF while letting in-flight responses keep writing (already-

@@ -142,13 +142,6 @@ EngineSpec PlannedHashEngineSpec() {
           sparql::EngineConfig::PlannedHash(), /*in_memory=*/false};
 }
 
-EngineSpec ParallelEngineSpec(int threads) {
-  if (threads <= 1) return PlannedEngineSpec();
-  std::string name = "planned@" + std::to_string(threads);
-  return {name, StoreKind::kIndex, sparql::EngineConfig::ByName(name),
-          /*in_memory=*/false};
-}
-
 std::vector<EngineSpec> OptimizerLevelSpecs() {
   std::vector<EngineSpec> specs;
   for (const char* name : {"naive", "indexed", "semantic", "planned"}) {

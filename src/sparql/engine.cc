@@ -1157,7 +1157,7 @@ QueryResult Engine::ExecuteImpl(const AstQuery& ast, const QueryLimits& limits,
     plan = BuildPlan(q, ast, store_, dict_, stats_, config_.merge_joins,
                      config_.threads,
                      replay != nullptr && replay->valid ? replay : nullptr,
-                     record, push_cap);
+                     record, push_cap, limits);
     if (record != nullptr) record->valid = true;
     plan.Execute(&table, limits, &result.stats);
   } else {

@@ -1363,7 +1363,8 @@ class PlanBuilder {
   PlanBuilder(CompiledQuery& q, const rdf::Store& store,
               const rdf::Dictionary& dict, const rdf::Stats* stats,
               bool merge_joins, int threads, const PlanScript* replay,
-              PlanScript* record, uint64_t root_cap)
+              PlanScript* record, uint64_t root_cap,
+              const QueryLimits& limits)
       : q_(q),
         store_(store),
         dict_(dict),
@@ -1373,7 +1374,8 @@ class PlanBuilder {
         threads_(threads < 1 ? 1 : threads),
         replay_(replay),
         record_(record),
-        root_cap_(root_cap) {}
+        root_cap_(root_cap),
+        limits_(limits) {}
 
   /// Plans the query once. The correlation analysis runs first, so the
   /// hidden `#rN` row-id slots of the kept plan are known and the row
@@ -1736,6 +1738,7 @@ class PlanBuilder {
   Shape Analyze(const CGroup& g, const std::set<int>& certain,
                 const std::set<int>& scope, bool deferring,
                 const std::set<int>& hidden) {
+    CheckDeadline();
     auto key = std::make_tuple(&g, certain, scope, deferring, hidden);
     auto it = shapes_.find(key);
     if (it != shapes_.end()) return it->second;
@@ -2057,6 +2060,7 @@ class PlanBuilder {
       if (!from_replay) {
         for (size_t a = 0; a < comps.size(); ++a) {
           for (size_t b = 0; b < comps.size(); ++b) {
+            CheckDeadline();
             Cand cand = evaluate(a, b);
             if (!cand.valid) continue;
             bool better;
@@ -2410,6 +2414,15 @@ class PlanBuilder {
     return st;
   }
 
+  /// Planning CPU counts against the query deadline: every call is a
+  /// tick, and one tick in 32 reads the clock.
+  void CheckDeadline() {
+    if (limits_.has_deadline && (++deadline_ticks_ & 31) == 0 &&
+        std::chrono::steady_clock::now() > limits_.deadline) {
+      throw QueryTimeout();
+    }
+  }
+
   /// The next hidden `#rN` row-id slot, in build order; Build appended
   /// exactly as many as Analyze counted for the kept plan.
   int RowIdSlot() {
@@ -2436,6 +2449,8 @@ class PlanBuilder {
   PlanScript* record_ = nullptr;
   size_t replay_pos_ = 0;
   uint64_t root_cap_ = 0;  // LIMIT pushdown cap for the root's child
+  QueryLimits limits_;
+  uint32_t deadline_ticks_ = 0;
   /// Analyze's memo, keyed by group and entry context.
   std::map<std::tuple<const CGroup*, std::set<int>, std::set<int>, bool,
                       std::set<int>>,
@@ -2532,13 +2547,13 @@ Plan BuildPlan(internal::CompiledQuery& q, const AstQuery& ast,
                const rdf::Store& store, const rdf::Dictionary& dict,
                const rdf::Stats* stats, bool merge_joins, int threads,
                const PlanScript* replay, PlanScript* record,
-               uint64_t root_cap) {
+               uint64_t root_cap, const QueryLimits& limits) {
   if (record != nullptr) {
     record->valid = false;
     record->merges.clear();
   }
   internal::PlanBuilder builder(q, store, dict, stats, merge_joins, threads,
-                                replay, record, root_cap);
+                                replay, record, root_cap, limits);
   Plan plan;
   plan.root_ = builder.Build(ast);
   return plan;

@@ -496,6 +496,19 @@ SP2B_TEST(server_cache_hits) {
   CHECK_EQ(test::StatsCounter(stats, "store_generation"), uint64_t{1});
   CHECK(test::StatsCounter(stats, "result_misses") > misses_before);
   server.Stop();
+
+  // Zero budgets are the off switches: no cache is built, /stats has
+  // no "cache" member, and responses are unchanged.
+  cfg.plan_cache_entries = 0;
+  cfg.result_cache_mb = 0;
+  net::SparqlServer uncached(*doc.store, *doc.dict, doc.stats.get(), cfg);
+  uncached.Start();
+  net::HttpClient plain("127.0.0.1", uncached.port());
+  net::HttpResponse cold = plain.Get(path);
+  CHECK_EQ(cold.status, 200);
+  CHECK(cold.body == first.body);
+  CHECK(plain.Get("/stats").body.find("\"cache\"") == std::string::npos);
+  uncached.Stop();
 }
 
 SP2B_TEST_MAIN()

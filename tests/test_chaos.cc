@@ -54,7 +54,7 @@ struct ChaosServer {
   explicit ChaosServer(ServerConfig config = {}, uint64_t triples = 1000) {
     // Result caching off: every request must execute and serialize,
     // so injected engine faults cannot hide behind cached bytes.
-    config.result_cache = false;
+    config.result_cache_mb = 0;
     doc = GenerateDocument(triples, StoreKind::kIndex, true);
     server = std::make_unique<SparqlServer>(*doc.store, *doc.dict,
                                             doc.stats.get(), config);
@@ -508,7 +508,7 @@ SP2B_TEST(compaction_failure) {
   live_cfg.compact_after_runs = 2;  // the second commit wakes it
   rdf::LiveStore live(live_cfg);
   ServerConfig config;
-  config.result_cache = false;
+  config.result_cache_mb = 0;
   SparqlServer server(live, config);
   server.Start();
   HttpClient client("127.0.0.1", server.port());

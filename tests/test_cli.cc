@@ -2,12 +2,13 @@
 // report text: 0 success, 2 usage, 3 timeout, 4 memory limit — and
 // malformed numeric flags are usage errors everywhere ("2x", "50k",
 // "-1" must never silently parse as 2, 50, or 0). Driven as one CTest
-// case that receives the sp2b_gen, sp2b_query, sp2b_serve, and
-// bench_throughput binary paths as arguments and shells out to them.
+// case that receives the sp2b_gen, sp2b_query, and sp2b_serve binary
+// paths as arguments and shells out to them.
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 namespace {
@@ -39,8 +40,7 @@ std::string Quote(const std::string& s) { return "'" + s + "'"; }
 int main(int argc, char** argv) {
   if (argc < 3) {
     std::printf(
-        "usage: test_cli <sp2b_gen> <sp2b_query> [sp2b_serve] "
-        "[bench_throughput]\n");
+        "usage: test_cli <sp2b_gen> <sp2b_query> [sp2b_serve]\n");
     return 1;
   }
   std::string gen = Quote(argv[1]);
@@ -57,6 +57,18 @@ int main(int argc, char** argv) {
   // A microsecond budget trips the deadline check inside evaluation.
   Expect(query + " " + doc + " q4 planned --timeout 0.000001", 3);
   Expect(query + " " + doc + " q4 semantic --timeout 0.000001", 3);
+  // The budget covers planning: a 400-pattern star keeps the join-order
+  // search busy for about a second.
+  std::string star = "test_cli_star.rq";
+  {
+    std::ofstream out(star);
+    out << "SELECT * WHERE {";
+    for (int i = 0; i < 400; ++i) {
+      out << " ?x <http://e/p" << i << "> ?o" << i << " .";
+    }
+    out << " }\n";
+  }
+  Expect(query + " " + doc + " - planned --timeout 0.05 < " + star, 3);
   // q4 materializes thousands of rows; a 10-row cap must abort.
   Expect(query + " " + doc + " q4 planned --max-rows 10", 4);
   Expect(query + " " + doc + " q4 semantic --max-rows 10", 4);
@@ -83,16 +95,11 @@ int main(int argc, char** argv) {
     Expect(serve + " --triples 10q --port 0", 2);
     Expect(serve + " --live --live-base-year 19x5", 2);
     Expect(serve + " --live --live-interval-ms -5", 2);
-  }
-  if (argc > 4) {
-    std::string bench = Quote(argv[4]);
-    Expect(bench + " --triples 5k", 2);
-    Expect(bench + " --seconds 1s", 2);
-    Expect(bench + " --clients 2,4x", 2);
-    Expect(bench + " --rates 50,abc", 2);
-    Expect(bench + " --engine-threads 3.5", 2);
+    Expect(serve + " --doc " + doc + " --plan-cache-entries 5x", 2);
+    Expect(serve + " --doc " + doc + " --result-cache-mb -1", 2);
   }
 
   std::remove(doc.c_str());
+  std::remove(star.c_str());
   return failures == 0 ? 0 : 1;
 }

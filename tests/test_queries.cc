@@ -1,6 +1,7 @@
 // Query correctness: exact result counts on a fixed-seed document,
 // DISTINCT semantics, negation-by-unbound semantics on handcrafted
 // fixtures, and cross-engine agreement.
+#include <chrono>
 #include <map>
 #include <set>
 #include <sstream>
@@ -362,6 +363,43 @@ SP2B_TEST(aggregates) {
               .emplace(qa1.rows.Row(i)[qa1.projection[0]],
                        qa1.rows.Row(i)[qa1.projection[1]])
               .second);
+  }
+}
+
+SP2B_TEST(planning_deadline) {
+  // The query deadline covers planning, not only execution: a
+  // 400-pattern star makes the greedy join-order search run for about
+  // a second, so a 50 ms budget must stop it with QueryTimeout long
+  // before it finishes.
+  std::string text = "SELECT * WHERE {";
+  for (int i = 0; i < 400; ++i) {
+    text += " ?x <http://e/p" + std::to_string(i) + "> ?o" +
+            std::to_string(i) + " .";
+  }
+  text += " }";
+  const LoadedDocument& doc = Fixture();
+  sparql::AstQuery ast = sparql::Parse(text, DefaultPrefixes());
+  for (const char* level : {"planned", "planned-hash", "planned@4"}) {
+    sparql::Engine engine(*doc.store, *doc.dict,
+                          sparql::EngineConfig::ByName(level),
+                          doc.stats.get());
+    auto start = std::chrono::steady_clock::now();
+    bool timed_out = false;
+    try {
+      engine.Execute(ast, sparql::QueryLimits::WithTimeout(
+                              std::chrono::milliseconds(50)));
+    } catch (const sparql::QueryTimeout&) {
+      timed_out = true;
+    }
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    if (!timed_out || seconds >= 0.5) {
+      std::ostringstream msg;
+      msg << level << ": timed_out=" << timed_out << " after " << seconds
+          << " s (want QueryTimeout in under 0.5 s)";
+      throw sp2b::test::CheckFailure(msg.str());
+    }
   }
 }
 
