@@ -145,6 +145,8 @@ class BindingTable {
   void Reserve(size_t rows) { data_.reserve(data_.size() + rows * width_); }
   const rdf::TermId* Row(size_t i) const { return data_.data() + i * width_; }
   rdf::TermId* MutableRow(size_t i) { return data_.data() + i * width_; }
+  /// Keeps the first `rows` rows (rows <= size()).
+  void Truncate(size_t rows) { data_.resize(rows * width_); }
   size_t size() const { return width_ == 0 ? 0 : data_.size() / width_; }
   size_t width() const { return width_; }
   uint64_t MemoryBytes() const {

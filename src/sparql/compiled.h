@@ -146,6 +146,22 @@ double ScaledProbeEstimate(double count, const CPattern& p,
                            const std::set<int>& bound,
                            const rdf::Stats* stats);
 
+/// Hash of a row's values at `slots`, unbound ones included: the key
+/// of the planner's hash operators and of DISTINCT. FNV-1a over the
+/// ids, then a multiply-shift finish so the low bits a power-of-two
+/// table indexes by depend on every input bit.
+inline uint64_t HashSlots(const rdf::TermId* row,
+                          const std::vector<int>& slots) {
+  uint64_t h = 1469598103934665603ull;  // FNV offset basis
+  for (int slot : slots) {
+    h ^= row[slot];
+    h *= 1099511628211ull;
+  }
+  h ^= h >> 32;
+  h *= 0x9E3779B97F4A7C15ull;
+  return h ^ (h >> 29);
+}
+
 /// Shared closure evaluation for CPath patterns — the single
 /// implementation both the backtracking Exec and the plan layer's
 /// TransitiveClosure operator call, so every engine level computes

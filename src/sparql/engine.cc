@@ -373,6 +373,9 @@ CGroup Compiler::CompileGroup(const GroupPattern& g, std::set<int> bound_entry,
             maybe_entry.count(slot) == 0) {
           cg.const_binds.emplace_back(slot, ConstId(cst.constant));
           bound_entry.insert(slot);  // certainly bound from entry on
+          // A second equality on the slot must stay a filter: binding
+          // it too would overwrite the first constant.
+          maybe_entry.insert(slot);
           consumed = true;
         }
       }
@@ -1329,37 +1332,36 @@ QueryResult Engine::ExecuteImpl(const AstQuery& ast, const QueryLimits& limits,
     projection = select_slots;
   }
 
-  // DISTINCT on the projected columns. Up to two columns pack into a
-  // single 64-bit key (the common benchmark shape: q4's name pairs);
-  // wider projections fall back to a byte-string key.
+  // DISTINCT on the projected columns, compacting the table in place:
+  // an open-addressing table of indices into the kept prefix, keyed by
+  // the projected slots' hash (unbound values included). Rows stay
+  // full width, since ORDER BY may name a variable the projection
+  // drops.
   if (ast.distinct && table.size() > 0) {
-    BindingTable dedup(table.width());
-    if (projection.size() <= 2) {
-      std::unordered_set<uint64_t> seen;
-      seen.reserve(table.size());
-      int s0 = projection.empty() ? -1 : projection[0];
-      int s1 = projection.size() > 1 ? projection[1] : -1;
-      for (size_t r = 0; r < table.size(); ++r) {
-        const TermId* row = table.Row(r);
-        uint64_t key = s0 < 0 ? 0 : row[s0];
-        if (s1 >= 0) key |= static_cast<uint64_t>(row[s1]) << 32;
-        if (seen.insert(key).second) dedup.Append(row);
-      }
-    } else {
-      std::unordered_set<std::string> seen;
-      seen.reserve(table.size());
-      std::string key;
-      for (size_t r = 0; r < table.size(); ++r) {
-        const TermId* row = table.Row(r);
-        key.clear();
-        for (int slot : projection) {
-          key.append(reinterpret_cast<const char*>(&row[slot]),
-                     sizeof(TermId));
+    size_t capacity = 2;
+    while (capacity < 2 * table.size()) capacity <<= 1;
+    const size_t mask = capacity - 1;
+    std::vector<uint32_t> seen(capacity, 0);  // kept row + 1; 0 = empty
+    size_t kept = 0;
+    for (size_t r = 0; r < table.size(); ++r) {
+      const TermId* row = table.Row(r);
+      for (size_t i = internal::HashSlots(row, projection) & mask;;
+           i = (i + 1) & mask) {
+        if (seen[i] == 0) {
+          if (kept != r) {
+            std::copy(row, row + table.width(), table.MutableRow(kept));
+          }
+          seen[i] = static_cast<uint32_t>(++kept);
+          break;
         }
-        if (seen.insert(key).second) dedup.Append(row);
+        const TermId* first = table.Row(seen[i] - 1);
+        if (std::all_of(projection.begin(), projection.end(),
+                        [&](int slot) { return first[slot] == row[slot]; })) {
+          break;
+        }
       }
     }
-    table = std::move(dedup);
+    table.Truncate(kept);
   }
 
   // ORDER BY.

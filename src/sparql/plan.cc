@@ -18,7 +18,6 @@
 #include <stdexcept>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "compiled.h"
@@ -58,21 +57,13 @@ constexpr size_t kMorselSize = 16 * 1024;
 constexpr double kParallelScanMinRows = 4096.0;
 constexpr double kParallelJoinMinRows = 8192.0;
 constexpr double kParallelUnionMinRows = 1024.0;
-/// Parallel lanes charge their materialized rows against the live-row
-/// cap in increments of this many rows (and re-check the deadline on
-/// the serial operators' 1024-candidate cadence), so a runaway
-/// high-fanout morsel overshoots max_rows by at most
-/// kLaneChargeRows x lanes instead of a whole morsel's join output.
+/// Parallel lanes and the hash-join probe kernel charge their
+/// materialized rows against the live-row cap in increments of this
+/// many rows (and re-check the deadline on the serial operators'
+/// 1024-candidate cadence), so a runaway high-fanout morsel overshoots
+/// max_rows by at most kLaneChargeRows x lanes instead of a whole
+/// morsel's join output.
 constexpr size_t kLaneChargeRows = 1024;
-
-uint64_t HashKey(const TermId* row, const std::vector<int>& slots) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (int slot : slots) {
-    h ^= row[slot];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -81,9 +72,9 @@ uint64_t HashKey(const TermId* row, const std::vector<int>& slots) {
 /// branches run concurrently with this very context), so all counters
 /// are relaxed atomics. On the serial path that costs one uncontended
 /// relaxed RMW per row — low single-digit ns, a few percent of the
-/// cheapest row's work. Parallel lanes batch-charge (per morsel, and
-/// within a morsel every kLaneChargeRows output rows) to keep the hot
-/// loops contention-free.
+/// cheapest row's work. Parallel lanes and the hash-join probe kernel
+/// batch-charge (per probed range, and within it every kLaneChargeRows
+/// output rows) to keep the hot loops contention-free.
 struct ExecCtx {
   const QueryLimits& limits;
   ExecStats& stats;
@@ -126,7 +117,8 @@ struct ExecCtx {
     }
   }
   void Materialized() { Charge(1); }
-  /// Batch counterparts used by parallel lanes (one call per morsel).
+  /// Batch counterparts used by parallel lanes and the hash-join probe
+  /// kernel (one call per probed range).
   void ChargeProbes(uint64_t n) {
     probes.fetch_add(n, std::memory_order_relaxed);
   }
@@ -554,69 +546,67 @@ bool MergeRows(const TermId* l, const TermId* r, size_t width,
   return true;
 }
 
-class HashJoinOp : public Operator {
+/// The build side of every hash operator: a CSR index over the build
+/// rows' key hashes. A stable counting sort groups the row ids by
+/// `hash & mask` in build-row order, with `start_` bounding each
+/// bucket, so a probe walks one contiguous run and meets its matching
+/// rows in build-row order — the order serial and parallel probes
+/// share. Read-only once built: any number of lanes probe it at once.
+class JoinIndex {
  public:
-  HashJoinOp(std::string detail, size_t width, std::shared_ptr<Operator> left,
-             std::shared_ptr<Operator> right,
-             std::vector<std::pair<int, int>> keys)
-      : Operator("HashJoin", std::move(detail), width,
-                 {std::move(left), std::move(right)}),
-        keys_(std::move(keys)) {}
+  explicit JoinIndex(const std::vector<uint64_t>& hashes) {
+    size_t buckets = 1;
+    while (buckets < hashes.size()) buckets <<= 1;
+    mask_ = buckets - 1;
+    start_.assign(buckets + 1, 0);
+    for (uint64_t h : hashes) ++start_[h & mask_];
+    for (size_t b = 1; b <= buckets; ++b) start_[b] += start_[b - 1];
+    // start_[b] is now bucket b's end; filling backwards leaves it at
+    // the bucket's start with the rows in ascending order.
+    entries_.resize(hashes.size());
+    for (size_t i = hashes.size(); i-- > 0;) {
+      entries_[--start_[hashes[i] & mask_]] = {
+          static_cast<uint32_t>(hashes[i] >> 32), static_cast<uint32_t>(i)};
+    }
+  }
 
- protected:
-  void Compute(ExecCtx& ctx) override {
-    const BindingTable& L = children_[0]->Output(ctx);
-    const BindingTable& R = children_[1]->Output(ctx);
-    // Build the hash table on the smaller input, probe with the other.
-    bool build_right = R.size() <= L.size();
-    const BindingTable& B = build_right ? R : L;
-    const BindingTable& P = build_right ? L : R;
-    std::vector<int> bslots, pslots;
-    for (const auto& [ls, rs] : keys_) {
-      bslots.push_back(build_right ? rs : ls);
-      pslots.push_back(build_right ? ls : rs);
-    }
-    std::unordered_multimap<uint64_t, uint32_t> ht;
-    ht.reserve(B.size());
-    for (size_t i = 0; i < B.size(); ++i) {
-      ht.emplace(HashKey(B.Row(i), bslots), static_cast<uint32_t>(i));
-    }
-    std::vector<TermId> row(width_, kNoTerm);
-    for (size_t j = 0; j < P.size(); ++j) {
-      const TermId* prow = P.Row(j);
-      ctx.Probe();
-      auto [it, end] = ht.equal_range(HashKey(prow, pslots));
-      for (; it != end; ++it) {
-        const TermId* brow = B.Row(it->second);
-        const TermId* l = build_right ? prow : brow;
-        const TermId* r = build_right ? brow : prow;
-        if (MergeRows(l, r, width_, keys_, row.data())) {
-          Append(ctx, row.data());
-        }
-      }
+  /// Calls `fn(row)` for each build row whose hash may equal `h`, in
+  /// build-row order, until `fn` returns false. Callers verify the
+  /// key itself (MergeRows does).
+  template <typename Fn>
+  void ForEach(uint64_t h, const Fn& fn) const {
+    const uint32_t tag = static_cast<uint32_t>(h >> 32);
+    const Entry* e = entries_.data() + start_[h & mask_];
+    const Entry* end = entries_.data() + start_[(h & mask_) + 1];
+    for (; e != end; ++e) {
+      if (e->tag == tag && !fn(e->row)) return;
     }
   }
 
  private:
-  std::vector<std::pair<int, int>> keys_;  // (left slot, right slot)
+  struct Entry {
+    uint32_t tag;  // high hash bits; the low ones pick the bucket
+    uint32_t row;
+  };
+  uint64_t mask_ = 0;
+  std::vector<uint32_t> start_;
+  std::vector<Entry> entries_;
 };
 
-/// Hash join parallelized on both sides. Build: the smaller input's
-/// key hashes are computed in parallel morsels, then each lane
-/// populates exactly one hash-partitioned read-only table (no table
-/// is ever written by two lanes; partition routing scans the cheap
-/// precomputed hash vector instead of any cross-lane channel).
-/// Probe: the larger input streams through in morsels, each row
-/// probing the single partition its hash selects. Per-morsel outputs
-/// stitch in morsel order — the same row order the serial HashJoin
-/// emits.
-class PartitionedHashJoinOp : public Operator {
+/// Hash join, building on the smaller input. With threads > 1
+/// (PartitionedHashJoin) the build rows' key hashes are computed in
+/// parallel morsels, and the probe side streams through in morsels
+/// whose lanes all probe the one shared, read-only index; per-morsel
+/// outputs stitch in morsel order — the table the serial operator
+/// materializes.
+class HashJoinOp : public Operator {
  public:
-  PartitionedHashJoinOp(std::string detail, size_t width,
-                        std::shared_ptr<Operator> left,
-                        std::shared_ptr<Operator> right,
-                        std::vector<std::pair<int, int>> keys, int threads)
-      : Operator("PartitionedHashJoin[" + std::to_string(threads) + "]",
+  HashJoinOp(std::string detail, size_t width, std::shared_ptr<Operator> left,
+             std::shared_ptr<Operator> right,
+             std::vector<std::pair<int, int>> keys, int threads)
+      : Operator(threads > 1 ? "PartitionedHashJoin[" +
+                                   std::to_string(threads) + "]"
+                             : "HashJoin",
                  std::move(detail), width,
                  {std::move(left), std::move(right)}),
         keys_(std::move(keys)),
@@ -626,7 +616,7 @@ class PartitionedHashJoinOp : public Operator {
   void Compute(ExecCtx& ctx) override {
     const BindingTable& L = children_[0]->Output(ctx);
     const BindingTable& R = children_[1]->Output(ctx);
-    bool build_right = R.size() <= L.size();
+    const bool build_right = R.size() <= L.size();
     const BindingTable& B = build_right ? R : L;
     const BindingTable& P = build_right ? L : R;
     std::vector<int> bslots, pslots;
@@ -634,79 +624,85 @@ class PartitionedHashJoinOp : public Operator {
       bslots.push_back(build_right ? rs : ls);
       pslots.push_back(build_right ? ls : rs);
     }
-    exec::ThreadPool& pool = exec::ThreadPool::Shared();
-    const size_t partitions = static_cast<size_t>(threads_);
-
     std::vector<uint64_t> hashes(B.size());
-    size_t build_morsels = (B.size() + kMorselSize - 1) / kMorselSize;
-    pool.ParallelFor(build_morsels, threads_, [&](size_t m) {
-      ctx.CheckDeadline();
-      ctx.MorselProbe();
-      size_t lo = m * kMorselSize;
-      size_t hi = std::min(B.size(), lo + kMorselSize);
-      for (size_t i = lo; i < hi; ++i) {
-        hashes[i] = HashKey(B.Row(i), bslots);
-      }
-    });
-    // Route build rows to their partitions in one cheap serial pass
-    // over the precomputed hashes (O(B) total), then let lane p
-    // populate exactly partition p's read-only multimap — the
-    // expensive part, the hash-table inserts, runs parallel and no
-    // table is ever written by two lanes.
-    std::vector<std::vector<uint32_t>> buckets(partitions);
-    for (auto& bucket : buckets) bucket.reserve(B.size() / partitions + 1);
-    for (size_t i = 0; i < hashes.size(); ++i) {
-      buckets[hashes[i] % partitions].push_back(static_cast<uint32_t>(i));
+    auto hash_rows = [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) hashes[i] = HashSlots(B.Row(i), bslots);
+    };
+    if (threads_ == 1) {
+      hash_rows(0, B.size());
+      ProbeRange(ctx, JoinIndex(hashes), B, P, build_right, pslots, 0,
+                 P.size(), result_, row_cap_);
+      return;
     }
-    std::vector<std::unordered_multimap<uint64_t, uint32_t>> tables(
-        partitions);
-    pool.ParallelFor(partitions, threads_, [&](size_t p) {
-      ctx.CheckDeadline();
-      auto& table = tables[p];
-      table.reserve(buckets[p].size());
-      for (uint32_t i : buckets[p]) table.emplace(hashes[i], i);
-    });
-
-    size_t probe_morsels = (P.size() + kMorselSize - 1) / kMorselSize;
-    std::vector<BindingTable> parts(probe_morsels);
-    pool.ParallelFor(probe_morsels, threads_, [&](size_t m) {
+    exec::ThreadPool& pool = exec::ThreadPool::Shared();
+    pool.ParallelFor(Morsels(B.size()), threads_, [&](size_t m) {
       ctx.CheckDeadline();
       ctx.MorselProbe();
-      BindingTable& out = parts[m];
-      out.Reset(width_);
-      std::vector<TermId> row(width_, kNoTerm);
-      size_t lo = m * kMorselSize;
-      size_t hi = std::min(P.size(), lo + kMorselSize);
-      uint64_t candidates = 0;
-      size_t charged = 0;
-      for (size_t j = lo; j < hi; ++j) {
-        const TermId* prow = P.Row(j);
-        uint64_t h = HashKey(prow, pslots);
-        auto [it, end] = tables[h % partitions].equal_range(h);
-        for (; it != end; ++it) {
-          const TermId* brow = B.Row(it->second);
-          const TermId* l = build_right ? prow : brow;
-          const TermId* r = build_right ? brow : prow;
-          if (MergeRows(l, r, width_, keys_, row.data())) {
-            if ((++candidates & 0x3FF) == 0) ctx.CheckDeadline();
-            if (PassesInlineFilters(row.data())) {
-              out.Append(row.data());
-              if (out.size() - charged >= kLaneChargeRows) {
-                ctx.Charge(out.size() - charged);  // incremental: cap holds
-                charged = out.size();
-              }
-            }
-          }
-        }
-      }
-      ctx.ChargeProbes(hi - lo);
-      ctx.ChargeCandidates(candidates);
-      ctx.Charge(out.size() - charged);
+      hash_rows(m * kMorselSize, std::min(B.size(), (m + 1) * kMorselSize));
+    });
+    const JoinIndex index(hashes);
+    std::vector<BindingTable> parts(Morsels(P.size()));
+    pool.ParallelFor(parts.size(), threads_, [&](size_t m) {
+      ctx.CheckDeadline();
+      ctx.MorselProbe();
+      parts[m].Reset(width_);
+      ProbeRange(ctx, index, B, P, build_right, pslots, m * kMorselSize,
+                 std::min(P.size(), (m + 1) * kMorselSize), parts[m],
+                 /*cap=*/0);
     });
     StitchParts(parts);
   }
 
  private:
+  static size_t Morsels(size_t rows) {
+    return (rows + kMorselSize - 1) / kMorselSize;
+  }
+
+  /// The probe kernel of both paths: rows [lo, hi) of `P` append their
+  /// merged rows that pass the inline filters to `out`, charged in
+  /// batches. The deadline and the morsel fault hook run every 1024
+  /// candidates; a nonzero `cap` (LIMIT pushdown) ends the probe.
+  void ProbeRange(ExecCtx& ctx, const JoinIndex& index, const BindingTable& B,
+                  const BindingTable& P, bool build_right,
+                  const std::vector<int>& pslots, size_t lo, size_t hi,
+                  BindingTable& out, uint64_t cap) const {
+    std::vector<TermId> row(width_, kNoTerm);
+    uint64_t candidates = 0;
+    size_t charged = out.size();
+    auto settle = [&](size_t probes) {
+      ctx.ChargeProbes(probes);
+      ctx.ChargeCandidates(candidates);
+      ctx.Charge(out.size() - charged);
+    };
+    for (size_t j = lo; j < hi; ++j) {
+      if (((j - lo) & 0x3FF) == 0x3FF) ctx.CheckDeadline();
+      const TermId* prow = P.Row(j);
+      index.ForEach(HashSlots(prow, pslots), [&](uint32_t b) {
+        const TermId* brow = B.Row(b);
+        if (!MergeRows(build_right ? prow : brow, build_right ? brow : prow,
+                       width_, keys_, row.data())) {
+          return true;
+        }
+        if ((++candidates & 0x3FF) == 0) {
+          ctx.CheckDeadline();
+          ctx.MorselProbe();
+        }
+        if (!PassesInlineFilters(row.data())) return true;
+        out.Append(row.data());
+        if (out.size() - charged >= kLaneChargeRows) {
+          ctx.Charge(out.size() - charged);  // incremental: cap holds
+          charged = out.size();
+        }
+        if (cap != 0 && out.size() >= cap) {
+          settle(j - lo + 1);
+          throw LimitSatisfied{};
+        }
+        return true;
+      });
+    }
+    settle(hi - lo);
+  }
+
   std::vector<std::pair<int, int>> keys_;  // (left slot, right slot)
   int threads_;
 };
@@ -1004,17 +1000,23 @@ class ScanMergeJoinOp : public Operator {
 /// merged candidate row exactly like the backtracking engine does. A
 /// correlated OPTIONAL reuses it with the left rows' RowId as the only
 /// key: its right side already extends those numbered rows.
+///
+/// In anti mode (`OPTIONAL {…} FILTER (!bound(?v))`, see BuildGroup)
+/// it emits only the left rows no right row matches under that same
+/// test, and stops probing a left row at its first match.
 class LeftJoinOp : public Operator {
  public:
   LeftJoinOp(std::string detail, size_t width, std::shared_ptr<Operator> left,
              std::shared_ptr<Operator> right,
              std::vector<std::pair<int, int>> keys,
-             std::vector<const CExpr*> residual, const rdf::Dictionary& dict)
-      : Operator("LeftJoin", std::move(detail), width,
+             std::vector<const CExpr*> residual, const rdf::Dictionary& dict,
+             bool anti)
+      : Operator(anti ? "AntiJoin" : "LeftJoin", std::move(detail), width,
                  {std::move(left), std::move(right)}),
         keys_(std::move(keys)),
         residual_(std::move(residual)),
-        eval_(dict) {}
+        eval_(dict),
+        anti_(anti) {}
 
  protected:
   void Compute(ExecCtx& ctx) override {
@@ -1025,33 +1027,28 @@ class LeftJoinOp : public Operator {
       lslots.push_back(ls);
       rslots.push_back(rs);
     }
-    std::unordered_multimap<uint64_t, uint32_t> ht;
-    ht.reserve(R.size());
+    std::vector<uint64_t> hashes(R.size());
     for (size_t i = 0; i < R.size(); ++i) {
-      ht.emplace(HashKey(R.Row(i), rslots), static_cast<uint32_t>(i));
+      hashes[i] = HashSlots(R.Row(i), rslots);
     }
+    const JoinIndex index(hashes);
     std::vector<TermId> row(width_, kNoTerm);
     for (size_t j = 0; j < L.size(); ++j) {
       const TermId* lrow = L.Row(j);
       ctx.Probe();
       bool matched = false;
-      auto [it, end] = ht.equal_range(HashKey(lrow, lslots));
-      for (; it != end; ++it) {
-        if (!MergeRows(lrow, R.Row(it->second), width_, keys_, row.data())) {
-          continue;
+      index.ForEach(HashSlots(lrow, lslots), [&](uint32_t i) {
+        if (!MergeRows(lrow, R.Row(i), width_, keys_, row.data())) {
+          return true;
         }
-        bool pass = true;
         for (const CExpr* f : residual_) {
-          if (!eval_.EvalBool(*f, row.data())) {
-            pass = false;
-            break;
-          }
+          if (!eval_.EvalBool(*f, row.data())) return true;
         }
-        if (pass) {
-          matched = true;
-          Append(ctx, row.data());
-        }
-      }
+        matched = true;
+        if (anti_) return false;  // one match settles the left row
+        Append(ctx, row.data());
+        return true;
+      });
       if (!matched) Append(ctx, lrow);
     }
   }
@@ -1060,6 +1057,7 @@ class LeftJoinOp : public Operator {
   std::vector<std::pair<int, int>> keys_;
   std::vector<const CExpr*> residual_;
   FilterEval eval_;
+  bool anti_;
 };
 
 class FilterOp : public Operator {
@@ -1382,6 +1380,17 @@ class PlanBuilder {
   /// width is fixed before any operator captures it.
   std::shared_ptr<Operator> Build(const AstQuery& ast) {
     row_id_base_ = q_.var_names.size();
+    // Slots the solution modifiers read (SELECT * reads them all).
+    std::set<std::string> read(ast.group_by.begin(), ast.group_by.end());
+    for (const SelectItem& item : ast.select) {
+      read.insert({item.var, item.source_var});
+    }
+    for (const OrderKey& key : ast.order_by) read.insert(key.var);
+    for (size_t slot = 0; slot < q_.var_names.size(); ++slot) {
+      if (ast.select_all || read.count(q_.var_names[slot])) {
+        modifier_slots_.insert(static_cast<int>(slot));
+      }
+    }
     row_ids_ = Analyze(q_.root, {}, {}, false, {}).row_ids;
     for (int i = 0; i < row_ids_; ++i) {
       q_.var_names.push_back("#r" + std::to_string(i));
@@ -1409,6 +1418,7 @@ class PlanBuilder {
     /// Slots the materialized rows are sorted by (lexicographic,
     /// leading first); empty when no order is known.
     std::vector<int> sort;
+    std::map<int, double> distinct;  // slot -> distinct-value estimate
   };
 
   struct Pending {
@@ -2140,17 +2150,14 @@ class PlanBuilder {
         for (int v : B.certain) {
           if (A.certain.count(v)) keys.emplace_back(v, v);
         }
-        std::shared_ptr<Operator> op;
-        if (threads_ > 1 && !keys.empty() &&
-            std::max({A.est, B.est, best.out}) >= kParallelJoinMinRows) {
-          // Big enough on an input or the estimated output to pay
-          // thread fan-out: partitioned build, shared read-only probe.
-          op = std::make_shared<PartitionedHashJoinOp>(
-              KeysLabel(keys), width_, A.op, B.op, keys, threads_);
-        } else {
-          op = std::make_shared<HashJoinOp>(KeysLabel(keys), width_, A.op,
-                                            B.op, keys);
-        }
+        // Parallel when an input or the estimated output is big
+        // enough to pay thread fan-out.
+        const bool parallel =
+            threads_ > 1 && !keys.empty() &&
+            std::max({A.est, B.est, best.out}) >= kParallelJoinMinRows;
+        auto op = std::make_shared<HashJoinOp>(KeysLabel(keys), width_, A.op,
+                                               B.op, keys,
+                                               parallel ? threads_ : 1);
         op->est_rows = best.out;
         merged.op = std::move(op);
         // Build/probe sides are chosen at runtime; no order survives.
@@ -2182,6 +2189,7 @@ class PlanBuilder {
       st.scope.insert(base_scope.begin(), base_scope.end());
       st.est = comps[0].est;
       st.sort = comps[0].sort;
+      st.distinct = comps[0].distinct;
       st.is_singleton = false;
     }
 
@@ -2348,10 +2356,28 @@ class PlanBuilder {
         right = BuildGroup(opt, std::move(base), &residual, hidden);
         keys = {{id, id}};
       }
+      // Anti-join: a group-end `!bound(?v)` keeps exactly the left rows
+      // without a match when the right side binds ?v in every row, the
+      // left rows never do, and nothing else reads ?v. The scope still
+      // takes the right side's slots, so later stages plan exactly as
+      // Analyze predicted.
+      auto anti = std::find_if(pending.begin(), pending.end(),
+                               [&](const Pending& p) {
+        const CExpr& e = *p.expr;
+        if (e.op != Expr::kNot || e.kids[0].op != Expr::kBound) return false;
+        const int v = e.kids[0].slot;
+        return right.certain.count(v) && !st.scope.count(v) &&
+               !modifier_slots_.count(v) && SlotUses(q_.root, v, &opt) == 1;
+      });
+      const bool is_anti = anti != pending.end();
+      if (is_anti) {
+        pending.erase(anti);
+        st.est *= AntiShare(st, right, keys, residual.size());
+      }
       std::string detail = KeysLabel(keys);
       for (const CExpr* f : residual) detail += " if " + ExprLabel(*f);
       auto op = std::make_shared<LeftJoinOp>(detail, width_, left, right.op,
-                                             keys, residual, dict_);
+                                             keys, residual, dict_, is_anti);
       op->est_rows = st.est;
       st.op = std::move(op);
       st.scope.insert(right.scope.begin(), right.scope.end());
@@ -2414,6 +2440,53 @@ class PlanBuilder {
     return st;
   }
 
+  /// Places in `g` that mention `slot` — pattern and path positions,
+  /// filters, constant bindings, seeds, copy-outs — outside `skip`.
+  static int SlotUses(const CGroup& g, int slot, const CGroup* skip) {
+    if (&g == skip) return 0;
+    int uses = 0;
+    for (const CPattern& p : g.patterns) {
+      for (const CTerm& t : p.t) uses += t.slot == slot;
+    }
+    for (const CPath& p : g.paths) {
+      uses += (p.subj.slot == slot) + (p.obj.slot == slot);
+    }
+    for (const CExpr& f : g.filters) {
+      std::set<int> vars;
+      Compiler::CollectVars(f, vars);
+      uses += static_cast<int>(vars.count(slot));
+    }
+    for (const auto& bind : g.const_binds) uses += bind.first == slot;
+    for (const auto& pairs : {g.seeds, g.copy_outs}) {
+      for (auto [a, b] : pairs) uses += (a == slot) + (b == slot);
+    }
+    for (const auto& alternatives : g.unions) {
+      for (const CGroup& alt : alternatives) uses += SlotUses(alt, slot, skip);
+    }
+    for (const CGroup& opt : g.optionals) uses += SlotUses(opt, slot, skip);
+    return uses;
+  }
+
+  /// Estimated share of left rows an anti-join keeps: those whose key
+  /// no right row matches. With statistics, a key whose right side has
+  /// d_r distinct values against the left's d_l covers
+  /// min(1, d_r / d_l) of the left keys, and each residual condition
+  /// halves the match chance like any filter; otherwise (or on a
+  /// row-id key) it halves, like the filter the anti-join replaces.
+  double AntiShare(const Chain& left, const Chain& right,
+                   const std::vector<std::pair<int, int>>& keys,
+                   size_t residuals) const {
+    if (stats_ == nullptr || keys.empty()) return 0.5;
+    double cover = 1.0;
+    for (auto [ls, rs] : keys) {
+      auto l = left.distinct.find(ls);
+      auto r = right.distinct.find(rs);
+      if (l == left.distinct.end() || r == right.distinct.end()) return 0.5;
+      cover = std::min(cover, r->second / std::max(1.0, l->second));
+    }
+    return 1.0 - cover * std::pow(0.5, static_cast<double>(residuals));
+  }
+
   /// Planning CPU counts against the query deadline: every call is a
   /// tick, and one tick in 32 reads the clock.
   void CheckDeadline() {
@@ -2456,6 +2529,7 @@ class PlanBuilder {
                       std::set<int>>,
            Shape>
       shapes_;
+  std::set<int> modifier_slots_;  // read by projection / ORDER / GROUP
   size_t row_id_base_ = 0;  // slot of `#r0`
   int row_ids_ = 0;         // `#rN` slots the kept plan holds
   int next_row_id_ = 0;

@@ -31,14 +31,25 @@ struct OrderOsp {
 
 // Range of triples in `index` (sorted by Cmp) whose Cmp-leading bound
 // components equal the pattern's. `lo`/`hi` are sentinel triples where
-// unbound slots are set to 0 / max.
+// unbound slots are set to 0 / max. The run's end is found by
+// galloping from its start: a bound probe's run is a few triples, so
+// bracketing it costs a few comparisons instead of a second binary
+// search over the whole permutation.
 template <typename Cmp>
 std::pair<size_t, size_t> Range(const std::vector<Triple>& index,
                                 const Triple& lo, const Triple& hi) {
-  auto begin = std::lower_bound(index.begin(), index.end(), lo, Cmp());
-  auto end = std::upper_bound(index.begin(), index.end(), hi, Cmp());
-  return {static_cast<size_t>(begin - index.begin()),
-          static_cast<size_t>(end - index.begin())};
+  const Cmp cmp;
+  const size_t n = index.size();
+  const size_t begin = static_cast<size_t>(
+      std::lower_bound(index.begin(), index.end(), lo, cmp) - index.begin());
+  size_t step = 1;
+  while (begin + step < n && !cmp(hi, index[begin + step])) step <<= 1;
+  // index[begin + step / 2] <= hi (for step > 1) and index[begin + step]
+  // > hi (or past the end): the end lies in between.
+  auto end = std::upper_bound(index.begin() + (begin + step / 2),
+                              index.begin() + std::min(n, begin + step), hi,
+                              cmp);
+  return {begin, static_cast<size_t>(end - index.begin())};
 }
 
 constexpr TermId kMax = ~TermId{0};

@@ -4,8 +4,11 @@
 // arrives pre-bound from a sibling OPTIONAL, and conditions
 // correlating an OPTIONAL with bindings only its left rows carry.
 // `correlated` marks the shapes the planner must plan on top of the
-// numbered left rows (a RowId operator in EXPLAIN). InlineDocument
-// loads such a document; the other handcrafted fixtures use it too.
+// numbered left rows (a RowId operator in EXPLAIN), `anti` the ones
+// whose `OPTIONAL … FILTER (!bound(?v))` it must plan as an AntiJoin;
+// the other `!bound` shapes pin where that rewrite must not fire.
+// InlineDocument loads such a document; the other handcrafted
+// fixtures use it too.
 #ifndef SP2B_TESTS_NESTED_SHAPES_H_
 #define SP2B_TESTS_NESTED_SHAPES_H_
 
@@ -47,6 +50,7 @@ struct NestedShape {
   const char* data;
   const char* query;
   bool correlated;
+  bool anti = false;
 };
 
 inline const std::vector<NestedShape>& NestedShapes() {
@@ -155,6 +159,132 @@ inline const std::vector<NestedShape>& NestedShapes() {
        "<http://e/n5> <http://e/q> <http://e/one> .\n",
        "SELECT ?x WHERE { ?x <http://e/p> ?x . "
        "?x <http://e/q> <http://e/one> }",
+       false},
+      // Two constant equalities on one variable: only the first may
+      // become a binding, the second stays a filter (no row is both).
+      {"double_const_equality",
+       "<http://e/a> <http://e/p> <http://e/n1> .\n"
+       "<http://e/a> <http://e/p> <http://e/n3> .\n"
+       "<http://e/b> <http://e/p> <http://e/n3> .\n",
+       "SELECT ?a ?b WHERE { ?a <http://e/p> ?b "
+       "FILTER (?b = <http://e/n1>) FILTER (?b = <http://e/n3>) }",
+       false},
+      // Anti-joins. A q6-like residual: the earliest work per author.
+      {"anti_join_residual",
+       "<http://e/a> <http://e/by> <http://e/x> .\n"
+       "<http://e/a> <http://e/yr> "
+       "\"1\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n"
+       "<http://e/b> <http://e/by> <http://e/x> .\n"
+       "<http://e/b> <http://e/yr> "
+       "\"2\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n"
+       "<http://e/c> <http://e/by> <http://e/z> .\n"
+       "<http://e/c> <http://e/yr> "
+       "\"3\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n",
+       "SELECT ?d ?yr WHERE { ?d <http://e/by> ?w . ?d <http://e/yr> ?yr "
+       "OPTIONAL { ?d2 <http://e/by> ?w2 . ?d2 <http://e/yr> ?yr2 "
+       "FILTER (?w2 = ?w && ?yr2 < ?yr) } FILTER (!bound(?w2)) }",
+       false, true},
+      // Duplicate left rows each survive on their own.
+      {"anti_join_duplicate_left_rows",
+       "<http://e/a> <http://e/p> <http://e/x> .\n"
+       "<http://e/b> <http://e/p> <http://e/y> .\n"
+       "<http://e/x> <http://e/q> <http://e/v1> .\n",
+       "SELECT ?s WHERE { { ?s <http://e/p> ?x } UNION { ?s <http://e/p> ?x } "
+       "OPTIONAL { ?x <http://e/q> ?v } FILTER (!bound(?v)) }",
+       false, true},
+      // A correlated OPTIONAL: the anti-join keys on the row id.
+      {"anti_join_correlated",
+       "<http://e/a> <http://e/p> <http://e/x> .\n"
+       "<http://e/b> <http://e/p> <http://e/w> .\n"
+       "<http://e/x> <http://e/q> <http://e/y> .\n"
+       "<http://e/y> <http://e/r> <http://e/a> .\n",
+       "SELECT ?s ?x WHERE { ?s <http://e/p> ?x "
+       "OPTIONAL { ?x <http://e/q> ?y "
+       "OPTIONAL { ?y <http://e/r> ?z FILTER (?z != ?s) } } "
+       "FILTER (!bound(?y)) }",
+       true, true},
+      // A right row equal on the key but incompatible on ?w, which
+      // only some left rows bind, is no match.
+      {"anti_join_incompatible_maybe_slot",
+       "<http://e/s1> <http://e/p> <http://e/x1> .\n"
+       "<http://e/s1> <http://e/q> <http://e/w1> .\n"
+       "<http://e/x1> <http://e/r> <http://e/v1> .\n"
+       "<http://e/v1> <http://e/t> <http://e/w2> .\n"
+       "<http://e/s2> <http://e/p> <http://e/x2> .\n"
+       "<http://e/x2> <http://e/r> <http://e/v2> .\n"
+       "<http://e/v2> <http://e/t> <http://e/w3> .\n"
+       "<http://e/s3> <http://e/p> <http://e/x3> .\n"
+       "<http://e/s3> <http://e/q> <http://e/w4> .\n"
+       "<http://e/x3> <http://e/r> <http://e/v3> .\n"
+       "<http://e/v3> <http://e/t> <http://e/w4> .\n",
+       "SELECT ?s WHERE { ?s <http://e/p> ?x "
+       "OPTIONAL { ?s <http://e/q> ?w } "
+       "OPTIONAL { ?x <http://e/r> ?v . ?v <http://e/t> ?w } "
+       "FILTER (!bound(?v)) }",
+       false, true},
+      // Where the anti-join must not fire: ?v is projected ...
+      {"no_anti_join_projected",
+       "<http://e/a> <http://e/p> <http://e/x> .\n"
+       "<http://e/b> <http://e/p> <http://e/y> .\n"
+       "<http://e/c> <http://e/p> <http://e/z> .\n"
+       "<http://e/x> <http://e/q> <http://e/v1> .\n"
+       "<http://e/y> <http://e/q> <http://e/y1> .\n"
+       "<http://e/y1> <http://e/r> <http://e/v2> .\n"
+       "<http://e/a> <http://e/r> <http://e/v3> .\n",
+       "SELECT ?s ?v WHERE { ?s <http://e/p> ?x "
+       "OPTIONAL { ?x <http://e/q> ?v } FILTER (!bound(?v)) }",
+       false},
+      // ... read by a second filter ...
+      {"no_anti_join_second_filter",
+       "<http://e/a> <http://e/p> <http://e/x> .\n"
+       "<http://e/b> <http://e/p> <http://e/y> .\n"
+       "<http://e/c> <http://e/p> <http://e/z> .\n"
+       "<http://e/x> <http://e/q> <http://e/v1> .\n"
+       "<http://e/y> <http://e/q> <http://e/y1> .\n"
+       "<http://e/y1> <http://e/r> <http://e/v2> .\n"
+       "<http://e/a> <http://e/r> <http://e/v3> .\n",
+       "SELECT ?s WHERE { ?s <http://e/p> ?x "
+       "OPTIONAL { ?x <http://e/q> ?v } FILTER (!bound(?v)) "
+       "FILTER (bound(?s) || bound(?v)) }",
+       false},
+      // ... bound only by an OPTIONAL nested in the right side ...
+      {"no_anti_join_nested_only",
+       "<http://e/a> <http://e/p> <http://e/x> .\n"
+       "<http://e/b> <http://e/p> <http://e/y> .\n"
+       "<http://e/c> <http://e/p> <http://e/z> .\n"
+       "<http://e/x> <http://e/q> <http://e/v1> .\n"
+       "<http://e/y> <http://e/q> <http://e/y1> .\n"
+       "<http://e/y1> <http://e/r> <http://e/v2> .\n"
+       "<http://e/a> <http://e/r> <http://e/v3> .\n",
+       "SELECT ?s WHERE { ?s <http://e/p> ?x "
+       "OPTIONAL { ?x <http://e/q> ?y OPTIONAL { ?y <http://e/r> ?v } } "
+       "FILTER (!bound(?v)) }",
+       false},
+      // ... already in the left side's scope ...
+      {"no_anti_join_left_scope",
+       "<http://e/a> <http://e/p> <http://e/x> .\n"
+       "<http://e/b> <http://e/p> <http://e/y> .\n"
+       "<http://e/c> <http://e/p> <http://e/z> .\n"
+       "<http://e/x> <http://e/q> <http://e/v1> .\n"
+       "<http://e/y> <http://e/q> <http://e/y1> .\n"
+       "<http://e/y1> <http://e/r> <http://e/v2> .\n"
+       "<http://e/a> <http://e/r> <http://e/v3> .\n",
+       "SELECT ?s WHERE { ?s <http://e/p> ?x "
+       "OPTIONAL { ?s <http://e/r> ?v } OPTIONAL { ?x <http://e/q> ?v } "
+       "FILTER (!bound(?v)) }",
+       false},
+      // ... or `!bound` is one side of a disjunction.
+      {"no_anti_join_disjunction",
+       "<http://e/a> <http://e/p> <http://e/x> .\n"
+       "<http://e/b> <http://e/p> <http://e/y> .\n"
+       "<http://e/c> <http://e/p> <http://e/z> .\n"
+       "<http://e/x> <http://e/q> <http://e/v1> .\n"
+       "<http://e/y> <http://e/q> <http://e/y1> .\n"
+       "<http://e/y1> <http://e/r> <http://e/v2> .\n"
+       "<http://e/a> <http://e/r> <http://e/v3> .\n",
+       "SELECT ?s WHERE { ?s <http://e/p> ?x "
+       "OPTIONAL { ?x <http://e/q> ?v } "
+       "FILTER (!bound(?v) || ?s = <http://e/a>) }",
        false},
   };
   return shapes;

@@ -204,8 +204,9 @@ SP2B_TEST(path_explain) {
 
 // The handcrafted shapes of nested_shapes.h: every level must match
 // naive, and the planned levels must run every shape through the
-// operator tree — every EXPLAIN line executed (numeric rows=), and
-// the correlated shapes visibly planned on numbered left rows.
+// operator tree — every EXPLAIN line executed (numeric rows=), the
+// correlated shapes visibly planned on numbered left rows, and an
+// AntiJoin exactly in the shapes marked `anti`.
 SP2B_TEST(nested_shapes) {
   for (const test::NestedShape& shape : test::NestedShapes()) {
     LoadedDocument doc = test::InlineDocument(shape.data);
@@ -234,7 +235,8 @@ SP2B_TEST(nested_shapes) {
       bool ok = !explain.empty() &&
                 explain.find("unsupported") == std::string::npos &&
                 (explain.find("RowId") != std::string::npos) ==
-                    shape.correlated;
+                    shape.correlated &&
+                (explain.find("AntiJoin") != std::string::npos) == shape.anti;
       while (ok && std::getline(lines, line)) {
         size_t at = line.find("rows=");
         ok = at != std::string::npos && at + 5 < line.size() &&

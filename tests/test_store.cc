@@ -399,7 +399,7 @@ void OrderPerm(ScanOrder order, int perm[3]) {
 
 void CheckStreamSorted(const std::vector<Triple>& stream, ScanOrder order) {
   if (order == ScanOrder::kNone) return;
-  int perm[3];
+  int perm[3] = {0, 1, 2};
   OrderPerm(order, perm);
   auto key = [&](const Triple& t, int pos) {
     return pos == 0 ? t.s : pos == 1 ? t.p : t.o;
@@ -459,6 +459,77 @@ SP2B_TEST(scan_ranges) {
   // Full range: the stream enumerates the whole store.
   for (Store* store : stores) {
     CHECK_EQ(CollectBlocks(*store, {}).size(), store->size());
+  }
+
+  // Range lookup edge cases against a linear filter: runs of length
+  // 2^k - 1, 2^k and 2^k + 1 (the galloping bracket's edges), empty
+  // runs between present ids (odd subjects), runs at the very end of
+  // each permutation (the largest s, p and o), and (s, o) patterns,
+  // which route through OSP.
+  IndexStore runs;
+  std::vector<Triple> all;
+  const size_t lengths[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17,
+                            31, 32, 33, 63, 64, 65, 200};
+  TermId max_s = 0;
+  for (size_t k = 0; k < std::size(lengths); ++k) {
+    max_s = static_cast<TermId>(2 * k + 2);
+    for (size_t j = 0; j < lengths[k]; ++j) {
+      Triple t{max_s, static_cast<TermId>(1000 + j % 3),
+               static_cast<TermId>(5000 + j)};
+      runs.Add(t);
+      all.push_back(t);
+    }
+  }
+  runs.Finalize();
+  auto linear = [&](const TriplePattern& p) {
+    std::vector<Triple> out;
+    for (const Triple& t : all) {
+      if ((p.s == kNoTerm || p.s == t.s) && (p.p == kNoTerm || p.p == t.p) &&
+          (p.o == kNoTerm || p.o == t.o)) {
+        out.push_back(t);
+      }
+    }
+    std::sort(out.begin(), out.end(), [](const Triple& a, const Triple& b) {
+      if (a.s != b.s) return a.s < b.s;
+      if (a.p != b.p) return a.p < b.p;
+      return a.o < b.o;
+    });
+    return out;
+  };
+  std::vector<TriplePattern> patterns;
+  for (TermId o = 4999; o <= 5201; ++o) {
+    patterns.push_back({kNoTerm, kNoTerm, o});
+  }
+  for (TermId p = 999; p <= 1003; ++p) {
+    patterns.push_back({kNoTerm, p, kNoTerm});
+    for (TermId o : {4999u, 5000u, 5007u, 5064u, 5199u, 5200u}) {
+      patterns.push_back({kNoTerm, p, o});
+    }
+  }
+  for (TermId sub = 1; sub <= max_s + 1; ++sub) {
+    patterns.push_back({sub, kNoTerm, kNoTerm});
+    for (TermId p = 999; p <= 1003; ++p) {
+      patterns.push_back({sub, p, kNoTerm});
+    }
+    for (TermId o : {4999u, 5000u, 5001u, 5016u, 5032u, 5199u, 5200u}) {
+      patterns.push_back({sub, kNoTerm, o});
+      patterns.push_back({sub, 1000, o});
+    }
+  }
+  for (const TriplePattern& p : patterns) {
+    if (p.s != kNoTerm && p.p == kNoTerm && p.o != kNoTerm) {
+      CHECK(runs.ScanOrderFor(p) == ScanOrder::kOSP);
+    }
+    std::vector<Triple> stream = CollectBlocks(runs, p);
+    CheckStreamSorted(stream, runs.ScanOrderFor(p));
+    CHECK_EQ(runs.Count(p), stream.size());
+    std::sort(stream.begin(), stream.end(),
+              [](const Triple& a, const Triple& b) {
+                if (a.s != b.s) return a.s < b.s;
+                if (a.p != b.p) return a.p < b.p;
+                return a.o < b.o;
+              });
+    CHECK(stream == linear(p));
   }
 }
 
