@@ -9,7 +9,7 @@
 // ScanMergeJoin intersections of two sorted index ranges instead of a
 // 250k-row hash build. SP2B_SIZES / SP2B_TIMEOUT override the
 // defaults; --json <path> additionally emits machine-readable
-// per-query timings for CI trend tracking.
+// per-query timings.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,7 +24,7 @@ using namespace sp2b::bench;
 namespace {
 
 /// Emits the grid as a JSON array of {query, engine, triples, ms}
-/// records (the BENCH_joins.json schema consumed by the CI smoke job).
+/// records.
 bool WriteJson(const std::string& path, const ResultGrid& grid,
                const std::vector<EngineSpec>& specs,
                const std::vector<uint64_t>& sizes,

@@ -10,7 +10,8 @@
 //              [--no-verify] [--json BENCH_live.json]
 //
 // Exit codes: 0 success, 1 I/O or runtime error, 2 usage,
-//             5 epoch/equivalence mismatch.
+//             5 epoch/equivalence mismatch, or no epoch verified
+//             although verification is on.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -289,6 +290,9 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "verified %zu epochs against from-scratch stores"
                  " (%zu mismatches)\n", verified, mismatches);
   }
+  // An audit that checked nothing proves nothing: fail it like a
+  // mismatch.
+  bool audit_failed = mismatches > 0 || (verify && verified == 0);
 
   Table table({"query", "runs", "p50 ms", "p99 ms"});
   for (QuerySeries& s : series) {
@@ -307,7 +311,7 @@ int Run(int argc, char** argv) {
     }
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return mismatches == 0 ? 0 : kExitMismatch;
+  return audit_failed ? kExitMismatch : 0;
 }
 
 }  // namespace

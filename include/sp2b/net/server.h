@@ -1,8 +1,9 @@
 // The SPARQL-protocol endpoint: a small HTTP/1.1 server exposing one
 // store. GET /sparql?query=... and POST /sparql (raw
 // application/sparql-query or form-encoded) execute against the
-// shared engine; results stream back chunked as SPARQL 1.1 JSON or
-// the sp2b binary format (protocol.h), negotiated via Accept.
+// shared engine; each result is serialized in full, then sent chunked
+// as SPARQL 1.1 JSON or the sp2b binary format (protocol.h),
+// negotiated via Accept.
 //
 // Two serving modes share every path below /sparql:
 //   static — the classic one: an immutable finalized store.

@@ -186,11 +186,6 @@ class LiveStore {
   /// malformed input — the store is unchanged in that case.
   CommitResult IngestNTriples(std::string_view text);
 
-  /// Same commit path for pre-encoded triples (ids must come from
-  /// dict() interning done by the caller *before* concurrent readers
-  /// exist, or via IngestNTriples).
-  CommitResult IngestTriples(std::vector<Triple> batch);
-
   /// Synchronously merge all current delta runs into a fresh base and
   /// publish the compacted epoch. Content (and therefore the data
   /// generation) is unchanged. Safe to call concurrently with ingest.
@@ -204,8 +199,6 @@ class LiveStore {
   IngestStats ingest_stats() const;
 
  private:
-  /// The shared commit tail; requires commit_mu_ held.
-  CommitResult CommitBatchLocked(std::vector<Triple>&& batch, uint64_t parsed);
   void CompactorLoop();
   void Publish(std::shared_ptr<const SnapshotStore> snap);
 

@@ -1,5 +1,5 @@
-// Lightweight document statistics the optimizer consults when a
-// pattern carries no bound term it can probe the store's indexes with.
+// Per-predicate cardinalities the optimizer consults when a pattern
+// carries no bound term it can probe the store's indexes with.
 #ifndef SP2B_STORE_STATS_H_
 #define SP2B_STORE_STATS_H_
 
@@ -12,24 +12,17 @@
 namespace sp2b::rdf {
 
 struct PredicateStat {
-  uint64_t count = 0;
   uint64_t distinct_subjects = 0;
   uint64_t distinct_objects = 0;
 };
 
 struct Stats {
-  uint64_t triples = 0;
-  uint64_t distinct_subjects = 0;
-  uint64_t distinct_predicates = 0;
-  uint64_t distinct_objects = 0;
-  std::unordered_map<TermId, uint64_t> predicate_counts;
-  /// Per-predicate cardinalities, the optimizer's join-selectivity
-  /// source: expected matches of (s, p, ?) is count/distinct_subjects.
+  /// The optimizer's join-selectivity source: expected matches of
+  /// (s, p, ?) is Count(?, p, ?)/distinct_subjects. One entry per
+  /// predicate present, so size() is the distinct predicate count.
   std::unordered_map<TermId, PredicateStat> predicate_stats;
-  /// Instances per rdf:type object (class cardinalities).
-  std::unordered_map<TermId, uint64_t> class_counts;
 
-  static Stats Build(const Store& store, const Dictionary& dict);
+  static Stats Build(const Store& store, const Dictionary&);
 };
 
 }  // namespace sp2b::rdf

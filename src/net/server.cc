@@ -613,14 +613,13 @@ bool SparqlServer::HandleRequest(HttpConnection& conn,
     key += std::to_string(max_rows);
     return key;
   };
-  auto serve_cached =
-      [&](const std::shared_ptr<const std::string>& body) -> bool {
+  auto serve_body = [&](const std::string& body) -> bool {
     std::string head = FormatResponseHead(
         200, {{"Content-Type", ContentTypeFor(format)},
               {"Transfer-Encoding", "chunked"},
               {"Connection", keep_alive ? "keep-alive" : "close"}});
     conn.WriteAll(head);
-    WriteChunk(conn, *body);
+    WriteChunk(conn, body);
     conn.WriteAll("0\r\n\r\n");
     double ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
@@ -641,14 +640,14 @@ bool SparqlServer::HandleRequest(HttpConnection& conn,
     if (memo_key) {
       if (auto body =
               result_cache_->Get(cache_key(*memo_key), data_generation)) {
-        return serve_cached(body);
+        return serve_body(*body);
       }
     }
   }
 
-  // Execute fully before the first response byte: timeout / row-cap /
-  // parse errors all surface while the status line is still ours to
-  // choose. Only the (infallible) serialization streams.
+  // Execute and serialize fully before the first response byte:
+  // timeout / row-cap / parse errors all surface while the status line
+  // is still ours to choose.
   sparql::QueryResult result;
   std::string result_key;  // canonical; empty when caching is off
   try {
@@ -669,7 +668,7 @@ bool SparqlServer::HandleRequest(HttpConnection& conn,
       if (auto body = result_cache_->Get(cache_key(canon.result_key),
                                          data_generation)) {
         query_memo_->Put(query_text, canon.result_key);
-        return serve_cached(body);
+        return serve_body(*body);
       }
     }
 
@@ -721,37 +720,20 @@ bool SparqlServer::HandleRequest(HttpConnection& conn,
     return keep_alive;
   }
 
-  if (result_cache_ != nullptr) {
-    // Serialize into one body so the exact bytes can be cached; serve
-    // the shared copy so a cached replay is byte-identical by
-    // construction. Over-budget bodies pass through uncached.
-    std::string body;
-    SerializeResults(result, *dict_, format,
-                     [&](std::string_view piece) { body.append(piece); });
-    // Tagged with the generation this request executed at: if a
-    // commit landed while we computed, the entry is already stale and
-    // the tag keeps any later (higher-generation) reader off it.
-    auto shared = result_cache_->Put(cache_key(result_key), std::move(body),
-                                     data_generation);
-    query_memo_->Put(query_text, result_key);
-    return serve_cached(shared);
-  }
-
-  std::string head = FormatResponseHead(
-      200, {{"Content-Type", ContentTypeFor(format)},
-            {"Transfer-Encoding", "chunked"},
-            {"Connection", keep_alive ? "keep-alive" : "close"}});
-  conn.WriteAll(head);
+  // Serialize into one body so the exact bytes can be cached; serve
+  // the cached copy so a replay is byte-identical by construction.
+  // Over-budget bodies pass through uncached.
+  std::string body;
   SerializeResults(result, *dict_, format,
-                   [&](std::string_view piece) { WriteChunk(conn, piece); });
-  conn.WriteAll("0\r\n\r\n");
-
-  double ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-  metrics_.latency.Record(ms);
-  metrics_.ok.fetch_add(1);
-  return keep_alive;
+                   [&](std::string_view piece) { body.append(piece); });
+  if (result_cache_ == nullptr) return serve_body(body);
+  // Tagged with the generation this request executed at: if a commit
+  // landed while we computed, the entry is already stale and the tag
+  // keeps any later (higher-generation) reader off it.
+  auto shared = result_cache_->Put(cache_key(result_key), std::move(body),
+                                   data_generation);
+  query_memo_->Put(query_text, result_key);
+  return serve_body(*shared);
 }
 
 }  // namespace sp2b::net

@@ -1550,7 +1550,7 @@ class PlanBuilder {
     }
     if (p.t[1].slot >= 0) {
       double d = stats_ != nullptr
-                     ? static_cast<double>(stats_->distinct_predicates)
+                     ? static_cast<double>(stats_->predicate_stats.size())
                      : 64.0;
       out[p.t[1].slot] = std::max(1.0, std::min(d, cnt));
     }

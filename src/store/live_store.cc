@@ -257,17 +257,7 @@ LiveStore::CommitResult LiveStore::IngestNTriples(std::string_view text) {
     }
     start = end + 1;
   }
-  return CommitBatchLocked(std::move(batch), parsed);
-}
 
-LiveStore::CommitResult LiveStore::IngestTriples(std::vector<Triple> batch) {
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  uint64_t parsed = batch.size();
-  return CommitBatchLocked(std::move(batch), parsed);
-}
-
-LiveStore::CommitResult LiveStore::CommitBatchLocked(
-    std::vector<Triple>&& batch, uint64_t parsed) {
   auto cur = std::atomic_load(&snapshot_);
   triples_parsed_.fetch_add(parsed, std::memory_order_relaxed);
 
@@ -313,7 +303,7 @@ LiveStore::CommitResult LiveStore::CommitBatchLocked(
 
   if (compactor_.joinable() && run_count >= config_.compact_after_runs) {
     {
-      std::lock_guard<std::mutex> lock(wake_mu_);
+      std::lock_guard<std::mutex> wake(wake_mu_);
       compact_pending_ = true;
     }
     wake_cv_.notify_one();

@@ -1,37 +1,40 @@
 #include "sp2b/store/stats.h"
 
-#include <unordered_set>
-
-#include "sp2b/vocabulary.h"
+#include <algorithm>
+#include <vector>
 
 namespace sp2b::rdf {
 
-Stats Stats::Build(const Store& store, const Dictionary& dict) {
-  Stats stats;
-  TermId rdf_type = dict.FindIri(vocab::kRdfType);
-  std::unordered_set<TermId> subjects, objects;
-  std::unordered_map<TermId, std::unordered_set<TermId>> pred_subjects;
-  std::unordered_map<TermId, std::unordered_set<TermId>> pred_objects;
+namespace {
+
+/// Sets `field` of each predicate's entry to the number of distinct
+/// terms packed with it in `keys` ((p << 32) | term).
+void CountDistinct(std::vector<uint64_t>& keys,
+                   uint64_t PredicateStat::*field,
+                   std::unordered_map<TermId, PredicateStat>& out) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (size_t i = 0, j = 0; i < keys.size(); i = j) {
+    uint64_t p = keys[i] >> 32;
+    while (j < keys.size() && keys[j] >> 32 == p) ++j;
+    out[static_cast<TermId>(p)].*field = j - i;
+  }
+}
+
+}  // namespace
+
+Stats Stats::Build(const Store& store, const Dictionary&) {
+  std::vector<uint64_t> ps, po;
+  ps.reserve(store.size());
+  po.reserve(store.size());
   store.Match({}, [&](const Triple& t) {
-    ++stats.triples;
-    subjects.insert(t.s);
-    objects.insert(t.o);
-    ++stats.predicate_counts[t.p];
-    pred_subjects[t.p].insert(t.s);
-    pred_objects[t.p].insert(t.o);
-    if (t.p == rdf_type) ++stats.class_counts[t.o];
+    ps.push_back(uint64_t{t.p} << 32 | t.s);
+    po.push_back(uint64_t{t.p} << 32 | t.o);
     return true;
   });
-  stats.distinct_subjects = subjects.size();
-  stats.distinct_objects = objects.size();
-  stats.distinct_predicates = stats.predicate_counts.size();
-  for (const auto& [pred, count] : stats.predicate_counts) {
-    PredicateStat ps;
-    ps.count = count;
-    ps.distinct_subjects = pred_subjects[pred].size();
-    ps.distinct_objects = pred_objects[pred].size();
-    stats.predicate_stats.emplace(pred, ps);
-  }
+  Stats stats;
+  CountDistinct(ps, &PredicateStat::distinct_subjects, stats.predicate_stats);
+  CountDistinct(po, &PredicateStat::distinct_objects, stats.predicate_stats);
   return stats;
 }
 

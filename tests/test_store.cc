@@ -1,15 +1,20 @@
 // Store invariants: N-Triples round-trips (escapes, typed literals,
 // language tags, property-style randomized literals), dictionary
-// encode/decode, and index-scan agreement between the MemStore,
-// IndexStore, and VerticalStore orderings.
+// encode/decode, index-scan agreement between the MemStore,
+// IndexStore, and VerticalStore orderings, and the planner statistics
+// every store (a live snapshot too) yields.
 #include <algorithm>
+#include <map>
 #include <random>
+#include <set>
 #include <sstream>
 #include <vector>
 
 #include "sp2b/gen/generator.h"
 #include "sp2b/store/index_store.h"
+#include "sp2b/store/live_store.h"
 #include "sp2b/store/ntriples.h"
+#include "sp2b/store/stats.h"
 #include "sp2b/store/vertical_store.h"
 #include "test_util.h"
 
@@ -304,13 +309,17 @@ struct ThreeStores {
   VerticalStore vertical;
 };
 
-void LoadFixture(ThreeStores& s) {
+std::string FixtureText() {
   std::ostringstream out;
   gen::NTriplesSink sink(out);
   gen::GeneratorConfig cfg;
   cfg.triple_limit = 3000;
   gen::Generate(cfg, sink);
-  std::string text = out.str();
+  return out.str();
+}
+
+void LoadFixture(ThreeStores& s) {
+  std::string text = FixtureText();
   for (Store* store : std::initializer_list<Store*>{&s.mem, &s.index,
                                                     &s.vertical}) {
     std::istringstream in(text);
@@ -636,6 +645,61 @@ SP2B_TEST(scan_cursor_interleave) {
     }
     CHECK(again == ref_q);
   }
+}
+
+namespace {
+
+/// Stats::Build against a brute-force count over Match: per predicate,
+/// the distinct subjects and objects, and one entry per predicate.
+void CheckPlannerStats(const Store& store, const Stats& stats) {
+  std::map<TermId, std::set<TermId>> subjects, objects;
+  store.Match({}, [&](const Triple& t) {
+    subjects[t.p].insert(t.s);
+    objects[t.p].insert(t.o);
+    return true;
+  });
+  CHECK(!subjects.empty());
+  CHECK_EQ(stats.predicate_stats.size(), subjects.size());
+  for (const auto& [p, ss] : subjects) {
+    auto it = stats.predicate_stats.find(p);
+    CHECK(it != stats.predicate_stats.end());
+    CHECK_EQ(it->second.distinct_subjects, uint64_t{ss.size()});
+    CHECK_EQ(it->second.distinct_objects, uint64_t{objects[p].size()});
+  }
+}
+
+}  // namespace
+
+SP2B_TEST(planner_stats) {
+  ThreeStores s;
+  LoadFixture(s);
+  for (const Store* store : std::initializer_list<const Store*>{
+           &s.mem, &s.index, &s.vertical}) {
+    CheckPlannerStats(*store, Stats::Build(*store, s.dict));
+  }
+
+  // A live snapshot composing several delta runs, committed in
+  // overlapping slices so commit-time dedup is in play.
+  std::string text = FixtureText();
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  LiveStore::Config cfg;
+  cfg.background_compaction = false;
+  LiveStore live(cfg);
+  const size_t n = lines.size();
+  for (size_t k = 0; k < 4; ++k) {
+    std::string batch;
+    for (size_t i = k * n / 4; i < std::min(n, (k + 1) * n / 4 + n / 8); ++i) {
+      batch += lines[i] + "\n";
+    }
+    live.IngestNTriples(batch);
+  }
+  std::shared_ptr<const SnapshotStore> snap = live.Pin();
+  CHECK_EQ(snap->delta_runs(), size_t{4});
+  CHECK_EQ(snap->size(), s.index.size());
+  CheckPlannerStats(*snap, Stats::Build(*snap, live.dict()));
+  CheckPlannerStats(*snap, *snap->stats());
 }
 
 SP2B_TEST_MAIN()
