@@ -9,7 +9,8 @@
 // ScanMergeJoin intersections of two sorted index ranges instead of a
 // 250k-row hash build. SP2B_SIZES / SP2B_TIMEOUT override the
 // defaults; --json <path> additionally emits machine-readable
-// per-query timings.
+// per-query timings. Exits 1 when a cell did not succeed or two
+// engines disagree on a (size, query) result count.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,6 +51,43 @@ bool WriteJson(const std::string& path, const ResultGrid& grid,
   out << "\n]\n";
   out.flush();  // surface buffered-write failures before reporting
   return static_cast<bool>(out);
+}
+
+/// Prints every broken cell to stderr: one that did not succeed, or
+/// one whose result count differs from the first successful engine's
+/// on the same (size, query). Returns how many it found.
+int ReportBrokenCells(const ResultGrid& grid,
+                      const std::vector<EngineSpec>& specs,
+                      const std::vector<uint64_t>& sizes,
+                      const std::vector<std::string>& ids) {
+  int broken = 0;
+  for (uint64_t size : sizes) {
+    for (const std::string& qid : ids) {
+      const EngineSpec* reference = nullptr;
+      uint64_t expected = 0;
+      for (const EngineSpec& s : specs) {
+        const QueryRun* run = grid.Find(s.name, size, qid);
+        if (run->outcome != Outcome::kSuccess) {
+          ++broken;
+          std::fprintf(stderr, "broken cell: %s %s on %s: outcome %c\n",
+                       qid.c_str(), SizeLabel(size).c_str(), s.name.c_str(),
+                       OutcomeChar(run->outcome));
+        } else if (reference == nullptr) {
+          reference = &s;
+          expected = run->result_count;
+        } else if (run->result_count != expected) {
+          ++broken;
+          std::fprintf(
+              stderr, "broken cell: %s %s on %s: %llu results, %s has %llu\n",
+              qid.c_str(), SizeLabel(size).c_str(), s.name.c_str(),
+              static_cast<unsigned long long>(run->result_count),
+              reference->name.c_str(),
+              static_cast<unsigned long long>(expected));
+        }
+      }
+    }
+  }
+  return broken;
 }
 
 }  // namespace
@@ -145,5 +183,5 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return 0;
+  return ReportBrokenCells(grid, specs, sizes, ids) == 0 ? 0 : 1;
 }

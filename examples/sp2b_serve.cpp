@@ -12,8 +12,7 @@
 //              [--timeout seconds] [--max-rows N] [--engine level]
 //              [--idle-timeout-ms N] [--send-timeout-ms N]
 //              [--drain-timeout-ms N] [--send-buffer BYTES]
-//              [--faults SPEC] [--plan-cache-entries N]
-//              [--result-cache-mb N] [--live]
+//              [--faults SPEC] [--result-cache-mb N] [--live]
 //              [--live-base-year YEAR] [--live-interval-ms N]
 //     --triples    generate the document in-process (seed 4711,
 //                  default 50000) instead of loading --doc
@@ -35,9 +34,6 @@
 //     --timeout    default per-query budget -> 408 (0 = none)
 //     --max-rows   default per-query row cap -> 413 (0 = none)
 //     --engine     naive|indexed|semantic|planned[-hash][@N]
-//     --plan-cache-entries N
-//                  bound the parameterized plan cache (default 128
-//                  templates, 0 = off; planned engines only)
 //     --result-cache-mb N
 //                  bound the result cache (default 32 MB, 0 = off)
 //     --send-timeout-ms  per-response send budget; a client that
@@ -87,8 +83,7 @@ int Usage() {
                "       [--timeout seconds] [--max-rows N] [--engine level]\n"
                "       [--idle-timeout-ms N] [--send-timeout-ms N]\n"
                "       [--drain-timeout-ms N] [--send-buffer BYTES]\n"
-               "       [--faults SPEC] [--plan-cache-entries N]\n"
-               "       [--result-cache-mb N] [--live]\n"
+               "       [--faults SPEC] [--result-cache-mb N] [--live]\n"
                "       [--live-base-year YEAR] [--live-interval-ms N]\n");
   return 2;
 }
@@ -185,11 +180,6 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "error: bad --faults spec: %s\n", error.c_str());
         return 2;
       }
-    } else if (arg == "--plan-cache-entries") {
-      if (!(value = next())) return Usage();
-      auto n = ParseDigitsOnly(value);  // 0 = no plan cache
-      if (!n) return Usage();
-      config.plan_cache_entries = static_cast<size_t>(*n);
     } else if (arg == "--live") {
       live = true;
     } else if (arg == "--live-base-year") {

@@ -140,7 +140,7 @@ class HttpConnection {
 
   /// Starts the send-deadline clock for the next response; every
   /// WriteAll until the next ArmSendDeadline shares the budget, so a
-  /// slow reader cannot stretch a chunked body forever.
+  /// slow reader cannot stretch a large body forever.
   void ArmSendDeadline();
 
  private:

@@ -50,8 +50,8 @@ class ProtocolError : public std::runtime_error {
 /// UTF-8.
 std::string JsonEscape(std::string_view s);
 
-/// Ordered sink for serialized result bytes; the server points it at
-/// a chunked-transfer writer, tests and the bench client at a string.
+/// Ordered sink for serialized result bytes; the server, tests and the
+/// bench client point it at a string.
 using WireSink = std::function<void(std::string_view)>;
 
 /// Serializes `result`'s projected columns (and nothing else) in row

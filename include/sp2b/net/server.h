@@ -1,9 +1,10 @@
 // The SPARQL-protocol endpoint: a small HTTP/1.1 server exposing one
 // store. GET /sparql?query=... and POST /sparql (raw
 // application/sparql-query or form-encoded) execute against the
-// shared engine; each result is serialized in full, then sent chunked
-// as SPARQL 1.1 JSON or the sp2b binary format (protocol.h),
-// negotiated via Accept.
+// shared engine; each result is serialized in full, then sent as one
+// Content-Length body in SPARQL 1.1 JSON or the sp2b binary format
+// (protocol.h), negotiated via Accept. Every response, 200 or error,
+// goes out through the same writer: one head, one send.
 //
 // Two serving modes share every path below /sparql:
 //   static — the classic one: an immutable finalized store.
@@ -69,11 +70,6 @@ struct ServerConfig {
   /// knob, not a production one.
   int send_buffer_bytes = 0;
 
-  /// Parameterized plan cache (query_cache.h): canonical-fingerprint
-  /// LRU of recorded planner decisions, replayed for repeat templates
-  /// with a selectivity re-check per lookup. Only consulted by the
-  /// planned engine levels; 0 entries turns it off.
-  size_t plan_cache_entries = 128;
   /// Result cache: byte-budget LRU of serialized 200 responses keyed
   /// by canonical result key + wire format + row cap; 0 MB turns it
   /// off.
@@ -145,7 +141,7 @@ class SparqlServer {
 
   const ServerMetrics& metrics() const { return metrics_; }
 
-  /// Drops every cached plan and result and bumps the result cache's
+  /// Drops every cached result and bumps the result cache's
   /// store generation — call after mutating the store. (The bundled
   /// stores are immutable while served; this is the invalidation hook
   /// for tests and future mutable stores.) No-op when caching is off.
@@ -153,7 +149,7 @@ class SparqlServer {
 
  private:
   void InitCaches();
-  /// The "cache" JSON object for /stats ("{}" when caching is off).
+  /// The "cache" JSON object for /stats (result cache present only).
   std::string CacheStatsJson() const;
   /// The "ingest" JSON object for /stats (live mode only).
   std::string IngestStatsJson() const;
@@ -178,7 +174,6 @@ class SparqlServer {
 
   // Caching layer (null when disabled). The memo shortcuts raw query
   // text -> result key so a hot result-cache hit skips the parser.
-  std::unique_ptr<sparql::PlanCache> plan_cache_;
   std::unique_ptr<sparql::ResultCache> result_cache_;
   std::unique_ptr<sparql::QueryTextMemo> query_memo_;
 

@@ -115,11 +115,12 @@ struct ExecStats {
 /// decisions: the (a, b) component indices merged at each step, in
 /// BuildGroup recursion order. Variable slots are numbered
 /// positionally by the compiler, so a script recorded for one query
-/// replays on any query with the same canonical fingerprint (same
-/// shape, different constants). Replay pins only the merge ORDER —
-/// the join method and costs are re-derived from the current
-/// cardinality estimates, and a structurally impossible entry makes
-/// the planner fall back to its full search mid-build.
+/// replays on any query of the same shape with different constants.
+/// Replay pins only the merge ORDER — the join method and costs are
+/// re-derived from the current cardinality estimates, and a
+/// structurally impossible entry makes the planner fall back to its
+/// full search mid-build.
+/// Kept only for the endpoint benchmark's replay (benchmark/endpoint.cc).
 struct PlanScript {
   /// True once a plan was recorded and executed: every SELECT on a
   /// planned level (false for ASK, which runs without a plan).
@@ -207,12 +208,13 @@ class Engine {
                                const QueryLimits& limits,
                                std::string* explain);
 
-  /// Execute with the parameterized-plan-cache hooks: when `replay`
-  /// is non-null (and valid), the planner follows its recorded merge
+  /// Execute with the plan record/replay hooks: when `replay` is
+  /// non-null (and valid), the planner follows its recorded merge
   /// decisions instead of searching; when `record` is non-null, the
   /// decisions taken are written into it (record->valid set for
   /// SELECT, cleared for ASK). Only the planned levels consult either;
   /// both may be null.
+  /// Kept only for the endpoint benchmark's replay (benchmark/endpoint.cc).
   QueryResult ExecutePrepared(const AstQuery& query,
                               const QueryLimits& limits,
                               const PlanScript* replay, PlanScript* record);

@@ -93,8 +93,8 @@ class Plan {
 /// operators (ParallelScan[n], PartitionedHashJoin[n],
 /// ParallelUnion[n]) where the estimated input is large enough to
 /// amortize fan-out; 1 reproduces the serial plan bit-for-bit.
-/// `replay`/`record` are the parameterized-plan-cache hooks
-/// (PlanScript, engine.h): replay pins each greedy merge to the
+/// `replay`/`record` are the plan record/replay hooks (PlanScript,
+/// engine.h): replay pins each greedy merge to the
 /// recorded component pair (methods and costs re-derived from current
 /// estimates; an impossible entry falls back to the full search),
 /// record captures the pairs chosen. `root_cap` > 0 caps the root

@@ -1,29 +1,18 @@
-// Query canonicalization and the two endpoint caches built on it.
+// Query canonicalization and the endpoint's result cache built on it.
 //
 // Real endpoint logs are dominated by a handful of hot query
-// *templates* instantiated with varying constants (Bonifati et al.;
-// Arias et al.), so the server caches at two levels, both keyed off
-// one canonicalization pass over the parsed AST:
-//
-//   fingerprint — variables renamed positionally (?v0, ?v1, ... in
-//     first-appearance order), whitespace/prefix differences erased by
-//     rendering the AST, and every literal/IRI constant (plus
-//     LIMIT/OFFSET values) lifted into a parameter list. Two queries
-//     share a fingerprint iff they are the same template — the key of
-//     the parameterized PLAN cache (PlanScript replay, engine.h).
-//
-//   result key — same rendering with original variable names and the
-//     constants inline: equal exactly when the two query strings mean
-//     byte-identical results. The key of the RESULT cache.
+// templates instantiated with varying constants (Bonifati et al.;
+// Arias et al.), so the same query text arrives again and again. The
+// server keys its result cache off one canonical rendering of the
+// parsed AST: whitespace/prefix differences are erased by rendering
+// the AST, while variable names and constants stay inline, so two
+// queries share a result key exactly when they mean byte-identical
+// results.
 //
 // The result cache is a bounded byte-budget LRU over serialized
 // response bodies (per wire format), invalidated wholesale when the
-// store generation bumps. The plan cache is a bounded LRU of recorded
-// planner decision traces plus the per-pattern store counts observed
-// at record time; a lookup whose current counts diverge from the
-// recorded ones (a bound constant far more/less selective than the
-// template's) forces a replan instead of replaying a stale join
-// order.
+// store generation bumps. A small text memo in front of it maps raw
+// query text to its result key, so a hot hit skips the parser too.
 #ifndef SP2B_SPARQL_QUERY_CACHE_H_
 #define SP2B_SPARQL_QUERY_CACHE_H_
 
@@ -38,19 +27,16 @@
 #include <vector>
 
 #include "sp2b/sparql/ast.h"
-#include "sp2b/sparql/engine.h"
 #include "sp2b/store/dictionary.h"
 #include "sp2b/store/store.h"
 
 namespace sp2b::sparql {
 
+/// A struct, not a bare string, only because the endpoint benchmark
+/// (benchmark/endpoint.cc) names the type.
 struct CanonicalQuery {
-  /// Template identity: positional variables, constants lifted.
-  std::string fingerprint;
   /// Result identity: original variables, constants inline.
   std::string result_key;
-  /// The lifted constants (rendered), in fingerprint $k order.
-  std::vector<std::string> params;
 };
 
 /// Deterministic canonical rendering of a parsed query; two ASTs that
@@ -63,61 +49,11 @@ CanonicalQuery Canonicalize(const AstQuery& query);
 /// then optionals, recursively). Equality filters (?v = const) are
 /// substituted into the patterns first, mirroring the semantic
 /// rewrite, so a constant bound through FILTER still shows up in the
-/// counts. This is the selectivity profile the plan cache compares
-/// against its recorded baseline.
+/// counts. Kept only for the endpoint benchmark's per-layer replay
+/// (`query_cache.pattern_counts_us`); the server no longer calls it.
 std::vector<uint64_t> PatternCounts(const AstQuery& query,
                                     const rdf::Store& store,
                                     const rdf::Dictionary& dict);
-
-/// True when any pattern's current count differs from the recorded
-/// one by more than `factor`x in either direction — ignoring pairs
-/// where both sides are below `floor` rows (tiny counts flap without
-/// changing the plan).
-bool CountsDiverge(const std::vector<uint64_t>& recorded,
-                   const std::vector<uint64_t>& current,
-                   double factor = 8.0, uint64_t floor = 64);
-
-// ---------------------------------------------------------------------------
-// Caches
-// ---------------------------------------------------------------------------
-
-/// A recorded plan for one template.
-struct PlanCacheEntry {
-  PlanScript script;
-  std::vector<uint64_t> base_counts;  // PatternCounts at record time
-};
-
-/// Thread-safe LRU of PlanCacheEntry keyed by fingerprint, bounded by
-/// entry count. Hit/miss/replan counters feed the server's /stats.
-class PlanCache {
- public:
-  explicit PlanCache(size_t max_entries);
-
-  std::shared_ptr<const PlanCacheEntry> Lookup(const std::string& fingerprint);
-  void Put(const std::string& fingerprint, PlanCacheEntry entry);
-  void Clear();
-
-  void CountHit();
-  void CountMiss();
-  void CountReplan();
-
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t replans = 0;
-    size_t entries = 0;
-  };
-  Stats stats() const;
-
- private:
-  using Slot =
-      std::pair<std::string, std::shared_ptr<const PlanCacheEntry>>;
-  mutable std::mutex mu_;
-  size_t max_entries_;
-  std::list<Slot> lru_;  // front = most recently used
-  std::unordered_map<std::string, std::list<Slot>::iterator> index_;
-  uint64_t hits_ = 0, misses_ = 0, replans_ = 0;
-};
 
 /// Thread-safe LRU of serialized response bodies keyed by
 /// result key + wire format + row cap, bounded by a byte budget.

@@ -38,14 +38,21 @@ std::string CounterJson(const char* name, uint64_t v) {
   return buf;
 }
 
-void WriteChunk(HttpConnection& conn, std::string_view data) {
-  if (data.empty()) return;  // a zero-size chunk would terminate the body
-  char size[32];
-  std::snprintf(size, sizeof(size), "%zx\r\n", data.size());
-  std::string frame = size;
-  frame.append(data.data(), data.size());
-  frame += "\r\n";
-  conn.WriteAll(frame);
+/// The one response writer: a Content-Length head and the body in a
+/// single send, for 200s and errors alike.
+void WriteSimple(HttpConnection& conn, int status, const char* content_type,
+                 const std::string& body, bool keep_alive) {
+  std::string head = FormatResponseHead(
+      status, {{"Content-Type", content_type},
+               {"Content-Length", std::to_string(body.size())},
+               {"Connection", keep_alive ? "keep-alive" : "close"}});
+  conn.WriteAll(head + body);
+}
+
+void WriteError(HttpConnection& conn, int status, const std::string& message,
+                bool keep_alive) {
+  WriteSimple(conn, status, kContentTypeJson,
+              "{\"error\": \"" + JsonEscape(message) + "\"}\n", keep_alive);
 }
 
 void SetSockTimeout(int fd, int opt, int ms) {
@@ -122,10 +129,6 @@ SparqlServer::SparqlServer(rdf::LiveStore& live, ServerConfig config)
 }
 
 void SparqlServer::InitCaches() {
-  if (config_.plan_cache_entries > 0 && engine_config_.planned) {
-    plan_cache_ =
-        std::make_unique<sparql::PlanCache>(config_.plan_cache_entries);
-  }
   if (config_.result_cache_mb > 0) {
     result_cache_ = std::make_unique<sparql::ResultCache>(
         config_.result_cache_mb * size_t{1024 * 1024});
@@ -134,30 +137,19 @@ void SparqlServer::InitCaches() {
 }
 
 void SparqlServer::InvalidateCaches() {
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   if (result_cache_ != nullptr) result_cache_->BumpGeneration();
   if (query_memo_ != nullptr) query_memo_->Clear();
 }
 
 std::string SparqlServer::CacheStatsJson() const {
+  sparql::ResultCache::Stats rs = result_cache_->stats();
   std::string out = "{";
-  if (result_cache_ != nullptr) {
-    sparql::ResultCache::Stats rs = result_cache_->stats();
-    out += CounterJson("result_hits", rs.hits) + ", ";
-    out += CounterJson("result_misses", rs.misses) + ", ";
-    out += CounterJson("result_evictions", rs.evictions) + ", ";
-    out += CounterJson("result_entries", rs.entries) + ", ";
-    out += CounterJson("result_bytes", rs.bytes) + ", ";
-    out += CounterJson("store_generation", rs.generation) + ", ";
-  }
-  if (plan_cache_ != nullptr) {
-    sparql::PlanCache::Stats ps = plan_cache_->stats();
-    out += CounterJson("plan_hits", ps.hits) + ", ";
-    out += CounterJson("plan_misses", ps.misses) + ", ";
-    out += CounterJson("plan_replans", ps.replans) + ", ";
-    out += CounterJson("plan_entries", ps.entries) + ", ";
-  }
-  if (out.size() > 1) out.resize(out.size() - 2);  // trailing ", "
+  out += CounterJson("result_hits", rs.hits) + ", ";
+  out += CounterJson("result_misses", rs.misses) + ", ";
+  out += CounterJson("result_evictions", rs.evictions) + ", ";
+  out += CounterJson("result_entries", rs.entries) + ", ";
+  out += CounterJson("result_bytes", rs.bytes) + ", ";
+  out += CounterJson("store_generation", rs.generation);
   out += "}";
   return out;
 }
@@ -345,14 +337,9 @@ void SparqlServer::AcceptLoop() {
     // Admission control: the queue is full — shed load now with an
     // immediate 503 instead of queueing unbounded latency.
     metrics_.overloads.fetch_add(1);
-    std::string body = "{\"error\": \"server overloaded\"}\n";
-    std::string head = FormatResponseHead(
-        503, {{"Content-Type", kContentTypeJson},
-              {"Content-Length", std::to_string(body.size())},
-              {"Connection", "close"}});
     HttpConnection conn(fd);
     try {
-      conn.WriteAll(head + body);
+      WriteError(conn, 503, "server overloaded", /*keep_alive=*/false);
     } catch (const HttpError&) {
     }
   }
@@ -389,15 +376,9 @@ void SparqlServer::ServeConnection(int fd) {
       // mid-request disconnect): no `requests` increment happened, so
       // this is accounted separately from the request outcomes.
       metrics_.read_errors.fetch_add(1);
-      std::string body =
-          std::string("{\"error\": \"") + JsonEscape(e.what()) + "\"}\n";
-      std::string head = FormatResponseHead(
-          400, {{"Content-Type", kContentTypeJson},
-                {"Content-Length", std::to_string(body.size())},
-                {"Connection", "close"}});
       conn.ArmSendDeadline();
       try {
-        conn.WriteAll(head + body);
+        WriteError(conn, 400, e.what(), /*keep_alive=*/false);
       } catch (const HttpError&) {
       }
       return;
@@ -416,26 +397,6 @@ void SparqlServer::ServeConnection(int fd) {
     if (!keep_alive) return;
   }
 }
-
-namespace {
-
-/// Plain (non-streaming) response with a Content-Length body.
-void WriteSimple(HttpConnection& conn, int status, const char* content_type,
-                 const std::string& body, bool keep_alive) {
-  std::string head = FormatResponseHead(
-      status, {{"Content-Type", content_type},
-               {"Content-Length", std::to_string(body.size())},
-               {"Connection", keep_alive ? "keep-alive" : "close"}});
-  conn.WriteAll(head + body);
-}
-
-void WriteError(HttpConnection& conn, int status, const std::string& message,
-                bool keep_alive) {
-  WriteSimple(conn, status, kContentTypeJson,
-              "{\"error\": \"" + JsonEscape(message) + "\"}\n", keep_alive);
-}
-
-}  // namespace
 
 bool SparqlServer::HandleRequest(HttpConnection& conn,
                                  const HttpRequest& req) {
@@ -460,9 +421,7 @@ bool SparqlServer::HandleRequest(HttpConnection& conn,
   }
   if (path == "/stats") {
     std::string cache_json;
-    if (plan_cache_ != nullptr || result_cache_ != nullptr) {
-      cache_json = CacheStatsJson();
-    }
+    if (result_cache_ != nullptr) cache_json = CacheStatsJson();
     std::string ingest_json;
     if (live_ != nullptr) ingest_json = IngestStatsJson();
     WriteSimple(conn, 200, kContentTypeJson,
@@ -508,8 +467,8 @@ bool SparqlServer::HandleRequest(HttpConnection& conn,
   }
 
   // Resolve the store this request executes against. Live mode pins
-  // the current epoch here — one consistent snapshot for counts,
-  // planning, execution, and the cache-generation tag, held (and its
+  // the current epoch here — one consistent snapshot for planning,
+  // execution, and the cache-generation tag, held (and its
   // memory kept alive) until the response is written.
   std::shared_ptr<const rdf::SnapshotStore> pinned;
   const rdf::Store* store = store_;
@@ -614,13 +573,7 @@ bool SparqlServer::HandleRequest(HttpConnection& conn,
     return key;
   };
   auto serve_body = [&](const std::string& body) -> bool {
-    std::string head = FormatResponseHead(
-        200, {{"Content-Type", ContentTypeFor(format)},
-              {"Transfer-Encoding", "chunked"},
-              {"Connection", keep_alive ? "keep-alive" : "close"}});
-    conn.WriteAll(head);
-    WriteChunk(conn, body);
-    conn.WriteAll("0\r\n\r\n");
+    WriteSimple(conn, 200, ContentTypeFor(format), body, keep_alive);
     double ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
@@ -659,47 +612,19 @@ bool SparqlServer::HandleRequest(HttpConnection& conn,
     }
     limits.max_rows = max_rows;
 
-    sparql::CanonicalQuery canon;
-    if (plan_cache_ != nullptr || result_cache_ != nullptr) {
-      canon = sparql::Canonicalize(ast);
-      result_key = canon.result_key;
-    }
-    if (result_cache_ != nullptr && !memo_key) {
-      if (auto body = result_cache_->Get(cache_key(canon.result_key),
-                                         data_generation)) {
-        query_memo_->Put(query_text, canon.result_key);
+    if (memo_key) {
+      result_key = std::move(*memo_key);
+    } else if (result_cache_ != nullptr) {
+      result_key = sparql::Canonicalize(ast).result_key;
+      if (auto body =
+              result_cache_->Get(cache_key(result_key), data_generation)) {
+        query_memo_->Put(query_text, result_key);
         return serve_body(*body);
       }
     }
 
     sparql::Engine engine(*store, *dict_, engine_config_, stats);
-    if (plan_cache_ != nullptr) {
-      // Replay the recorded join order for this template unless the
-      // bound constants shifted the per-pattern selectivities far from
-      // the recorded baseline — then replan and replace the entry.
-      std::vector<uint64_t> counts =
-          sparql::PatternCounts(ast, *store, *dict_);
-      auto entry = plan_cache_->Lookup(canon.fingerprint);
-      if (entry != nullptr &&
-          !sparql::CountsDiverge(entry->base_counts, counts)) {
-        plan_cache_->CountHit();
-        result = engine.ExecutePrepared(ast, limits, &entry->script, nullptr);
-      } else {
-        if (entry != nullptr) {
-          plan_cache_->CountReplan();
-        } else {
-          plan_cache_->CountMiss();
-        }
-        sparql::PlanScript record;
-        result = engine.ExecutePrepared(ast, limits, nullptr, &record);
-        if (record.valid) {
-          plan_cache_->Put(canon.fingerprint,
-                           {std::move(record), std::move(counts)});
-        }
-      }
-    } else {
-      result = engine.Execute(ast, limits);
-    }
+    result = engine.Execute(ast, limits);
   } catch (const sparql::ParseError& e) {
     WriteError(conn, 400, std::string("parse error: ") + e.what(), keep_alive);
     metrics_.parse_errors.fetch_add(1);

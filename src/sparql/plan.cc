@@ -2512,7 +2512,7 @@ class PlanBuilder {
   size_t width_;
   bool merge_joins_ = true;
   int threads_ = 1;
-  /// Plan-cache hooks: replay_ walks merges in recorded order
+  /// Record/replay hooks: replay_ walks merges in recorded order
   /// (cleared the moment an entry stops matching the live component
   /// list — the rest of the build reverts to full search); record_
   /// accumulates the pairs this build chose. Groups are visited in

@@ -1,23 +1,19 @@
 #include "sp2b/sparql/query_cache.h"
 
-#include <algorithm>
 #include <map>
 
 namespace sp2b::sparql {
 
 namespace {
 
-// Canonical renderer: one deterministic serialization of the AST with
-// a lift switch. Field and node boundaries use '\x1f'/'\x1e' so no
-// lexical form can collide with the structure markers.
+// Canonical renderer: one deterministic serialization of the AST.
+// Field and node boundaries use '\x1f'/'\x1e' so no lexical form can
+// collide with the structure markers.
 constexpr char kSep = '\x1f';
 constexpr char kEnd = '\x1e';
 
 class Renderer {
  public:
-  explicit Renderer(bool lift, std::vector<std::string>* params)
-      : lift_(lift), params_(params) {}
-
   std::string Render(const AstQuery& q) {
     out_ += q.form == AstQuery::kAsk ? "ASK" : "SELECT";
     if (q.distinct) out_ += " DISTINCT";
@@ -54,40 +50,22 @@ class Renderer {
       if (k.descending) out_ += "DESC";
     }
     out_ += kSep;
-    // LIMIT/OFFSET values are template parameters like any constant:
-    // q11 with OFFSET 50 and OFFSET 500 share a plan.
     out_ += "LIMIT ";
-    Param(q.has_limit ? std::to_string(q.limit) : std::string("-"));
+    Const(q.has_limit ? std::to_string(q.limit) : std::string("-"));
     out_ += " OFFSET ";
-    Param(std::to_string(q.offset));
+    Const(std::to_string(q.offset));
     return std::move(out_);
   }
 
  private:
   void Var(const std::string& name) {
     out_ += '?';
-    if (!lift_) {
-      out_ += name;
-    } else {
-      auto [it, inserted] =
-          var_ids_.emplace(name, static_cast<int>(var_ids_.size()));
-      (void)inserted;
-      out_ += 'v';
-      out_ += std::to_string(it->second);
-    }
+    out_ += name;
     out_ += kSep;
   }
 
-  /// A constant position: rendered inline for the result key, lifted
-  /// to $k (and appended to params) for the fingerprint.
-  void Param(std::string rendered) {
-    if (!lift_) {
-      out_ += rendered;
-    } else {
-      out_ += '$';
-      out_ += std::to_string(params_->size());
-      params_->push_back(std::move(rendered));
-    }
+  void Const(const std::string& rendered) {
+    out_ += rendered;
     out_ += kSep;
   }
 
@@ -97,15 +75,17 @@ class Renderer {
         Var(t.value);
         return;
       case TermRef::kIri:
-        Param(std::string("I") + t.value);
+        out_ += 'I';
+        Const(t.value);
         return;
       case TermRef::kLiteral:
-        Param(std::string("L") + t.value + kSep + t.datatype);
+        out_ += 'L';
+        out_ += t.value;
+        out_ += kSep;
+        Const(t.datatype);
         return;
       case TermRef::kBlank:
-        // Blank nodes act as non-projectable variables, not constants;
-        // keep the label (queries in the supported fragment rarely
-        // carry them, so positional renaming is not worth the churn).
+        // Blank nodes act as non-projectable variables; keep the label.
         out_ += '_';
         out_ += t.value;
         out_ += kSep;
@@ -132,10 +112,8 @@ class Renderer {
     for (const TriplePatternAst& t : g.triples) {
       Term(t.s);
       Term(t.p);
-      // Property-path structure is part of the canonical template, not
-      // a parameter: `p+` and `p` must fingerprint differently, while
-      // two `+`-paths over different IRIs still share a template (the
-      // IRIs themselves lift to params through Term()).
+      // The path operator is part of the key: `p+`, `p*` and `p` mean
+      // different results.
       switch (t.path) {
         case PathOp::kNone:
           break;
@@ -173,19 +151,13 @@ class Renderer {
     out_ += '}';
   }
 
-  bool lift_;
-  std::vector<std::string>* params_;
-  std::map<std::string, int> var_ids_;
   std::string out_;
 };
 
 }  // namespace
 
 CanonicalQuery Canonicalize(const AstQuery& query) {
-  CanonicalQuery canon;
-  canon.fingerprint = Renderer(/*lift=*/true, &canon.params).Render(query);
-  canon.result_key = Renderer(/*lift=*/false, nullptr).Render(query);
-  return canon;
+  return {Renderer().Render(query)};
 }
 
 // ---------------------------------------------------------------------------
@@ -264,86 +236,6 @@ std::vector<uint64_t> PatternCounts(const AstQuery& query,
   std::vector<uint64_t> out;
   CountGroup(query.where, {}, store, dict, &out);
   return out;
-}
-
-bool CountsDiverge(const std::vector<uint64_t>& recorded,
-                   const std::vector<uint64_t>& current, double factor,
-                   uint64_t floor) {
-  if (recorded.size() != current.size()) return true;
-  for (size_t i = 0; i < recorded.size(); ++i) {
-    uint64_t lo = std::min(recorded[i], current[i]);
-    uint64_t hi = std::max(recorded[i], current[i]);
-    if (hi < floor) continue;  // both tiny: plan choice is insensitive
-    if (static_cast<double>(hi) >
-        factor * static_cast<double>(std::max<uint64_t>(lo, 1))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// PlanCache
-// ---------------------------------------------------------------------------
-
-PlanCache::PlanCache(size_t max_entries)
-    : max_entries_(max_entries == 0 ? 1 : max_entries) {}
-
-std::shared_ptr<const PlanCacheEntry> PlanCache::Lookup(
-    const std::string& fingerprint) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(fingerprint);
-  if (it == index_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
-}
-
-void PlanCache::Put(const std::string& fingerprint, PlanCacheEntry entry) {
-  auto shared = std::make_shared<const PlanCacheEntry>(std::move(entry));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(fingerprint);
-  if (it != index_.end()) {
-    it->second->second = std::move(shared);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(fingerprint, std::move(shared));
-  index_.emplace(fingerprint, lru_.begin());
-  while (lru_.size() > max_entries_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
-}
-
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
-void PlanCache::CountHit() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++hits_;
-}
-
-void PlanCache::CountMiss() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++misses_;
-}
-
-void PlanCache::CountReplan() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++replans_;
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.replans = replans_;
-  s.entries = lru_.size();
-  return s;
 }
 
 // ---------------------------------------------------------------------------

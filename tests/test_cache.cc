@@ -1,6 +1,6 @@
 // The endpoint caching layer: canonicalization equivalence classes,
-// the plan/result cache LRUs, PlanScript record/replay result
-// identity (catalog queries and correlated OPTIONAL shapes),
+// the result cache LRU, PlanScript record/replay result identity
+// (catalog queries and correlated OPTIONAL shapes),
 // server-level cache hits + invalidation over HTTP, and the
 // strict-numeric-parsing regressions (FILTER/ORDER BY type errors,
 // Content-Length rejection, shared parse helpers).
@@ -63,132 +63,91 @@ std::string ReplaceOnce(std::string text, const std::string& from,
 
 SP2B_TEST(canonical_equivalence) {
   // Whitespace / prefix spelling never reaches the AST, so any
-  // reformatting of the same query shares both keys.
+  // reformatting of the same query shares its result key.
   std::string q1 = GetQuery("q1").text;
   std::string mangled = q1;
   std::replace(mangled.begin(), mangled.end(), '\n', ' ');
   sparql::CanonicalQuery a = sparql::Canonicalize(ParseText(q1));
   sparql::CanonicalQuery b = sparql::Canonicalize(ParseText(mangled));
-  CHECK_EQ(a.fingerprint, b.fingerprint);
   CHECK_EQ(a.result_key, b.result_key);
+  std::string spelled = ReplaceOnce(
+      q1, "rdf:type", "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>");
+  CHECK(spelled != q1);
+  CHECK_EQ(a.result_key,
+           sparql::Canonicalize(ParseText(spelled)).result_key);
 
-  // Renamed variables: same template (fingerprint), different result
-  // bytes (the JSON carries variable names) -> different result key.
+  // Renamed variables: different result bytes (the JSON carries
+  // variable names) -> different result key.
   std::string renamed = q1;
   while (renamed.find("?journal") != std::string::npos) {
     renamed = ReplaceOnce(renamed, "?journal", "?zz");
   }
   sparql::CanonicalQuery c = sparql::Canonicalize(ParseText(renamed));
-  CHECK_EQ(a.fingerprint, c.fingerprint);
   CHECK(a.result_key != c.result_key);
 
-  // Different constant: same template, lifted into params.
+  // Different constant -> different result key.
   std::string other = ReplaceOnce(q1, "Journal 1 (1940)", "Journal 1 (1950)");
   sparql::CanonicalQuery d = sparql::Canonicalize(ParseText(other));
-  CHECK_EQ(a.fingerprint, d.fingerprint);
   CHECK(a.result_key != d.result_key);
-  CHECK_EQ(a.params.size(), d.params.size());
-  CHECK(a.params != d.params);
 
-  // q3a/b/c are one template; q2 is not.
+  // q3a/b/c differ only in a constant; q2 is another query.
   sparql::CanonicalQuery q3a =
       sparql::Canonicalize(ParseText(GetQuery("q3a").text));
   sparql::CanonicalQuery q3b =
       sparql::Canonicalize(ParseText(GetQuery("q3b").text));
   sparql::CanonicalQuery q2 =
       sparql::Canonicalize(ParseText(GetQuery("q2").text));
-  CHECK_EQ(q3a.fingerprint, q3b.fingerprint);
   CHECK(q3a.result_key != q3b.result_key);
-  CHECK(q3a.fingerprint != q2.fingerprint);
+  CHECK(q3a.result_key != q2.result_key);
 
-  // LIMIT/OFFSET values are parameters, not template structure.
+  // LIMIT/OFFSET values are part of the key.
   std::string q11 = GetQuery("q11").text;
   sparql::CanonicalQuery e = sparql::Canonicalize(ParseText(q11));
   sparql::CanonicalQuery f = sparql::Canonicalize(
       ParseText(ReplaceOnce(q11, "OFFSET 50", "OFFSET 500")));
-  CHECK_EQ(e.fingerprint, f.fingerprint);
   CHECK(e.result_key != f.result_key);
 
-  // Every distinct catalog query has a distinct fingerprint (except
-  // the deliberate q3 family).
-  std::vector<std::string> prints;
+  // Every catalog query has its own result key.
+  std::vector<std::string> keys;
   for (const BenchmarkQuery& q : AllQueries()) {
-    prints.push_back(sparql::Canonicalize(ParseText(q.text)).fingerprint);
+    keys.push_back(sparql::Canonicalize(ParseText(q.text)).result_key);
   }
-  std::sort(prints.begin(), prints.end());
-  size_t distinct =
-      static_cast<size_t>(std::unique(prints.begin(), prints.end()) -
-                          prints.begin());
-  CHECK_EQ(distinct, AllQueries().size() - 2);  // q3a=q3b=q3c
+  std::sort(keys.begin(), keys.end());
+  size_t distinct = static_cast<size_t>(
+      std::unique(keys.begin(), keys.end()) - keys.begin());
+  CHECK_EQ(distinct, AllQueries().size());
 }
 
 SP2B_TEST(path_canonicalization) {
-  // Property paths canonicalize like ordinary patterns: the closure
-  // operator (+ / * / sequence) is template structure, while IRI
-  // constants lift into the parameter vector. Two path queries that
-  // differ only in an IRI constant therefore share a plan-cache
-  // fingerprint (one cached plan template serves both) but keep
-  // distinct result-cache keys (their result bytes differ).
+  // Property paths canonicalize like ordinary patterns: two path
+  // queries that differ only in an IRI constant have distinct result
+  // keys (their result bytes differ).
   std::string qp1 = GetQuery("qp1").text;
   std::string other = ReplaceOnce(qp1, "foaf:Document", "foaf:Person");
   sparql::CanonicalQuery a = sparql::Canonicalize(ParseText(qp1));
   sparql::CanonicalQuery b = sparql::Canonicalize(ParseText(other));
-  CHECK_EQ(a.fingerprint, b.fingerprint);
   CHECK(a.result_key != b.result_key);
-  CHECK_EQ(a.params.size(), b.params.size());
-  CHECK(a.params != b.params);
+  std::string mangled = qp1;
+  std::replace(mangled.begin(), mangled.end(), '\n', ' ');
+  CHECK_EQ(a.result_key, sparql::Canonicalize(ParseText(mangled)).result_key);
 
-  // Same for sequences: swapping the final step's IRI keeps the
-  // template, changes the parameters.
+  // Same for sequences: swapping the final step's IRI changes the key.
   std::string qp3 = GetQuery("qp3").text;
   std::string other_seq = ReplaceOnce(qp3, "foaf:name", "foaf:homepage");
   sparql::CanonicalQuery c = sparql::Canonicalize(ParseText(qp3));
   sparql::CanonicalQuery d = sparql::Canonicalize(ParseText(other_seq));
-  CHECK_EQ(c.fingerprint, d.fingerprint);
   CHECK(c.result_key != d.result_key);
 
-  // The path operator itself is structure, not a parameter: + vs *
-  // vs plain predicate vs sequence are four distinct templates.
+  // The path operator itself is part of the key: + vs * vs plain
+  // predicate vs sequence are four distinct keys.
   std::string star = ReplaceOnce(qp1, "rdfs:subClassOf+", "rdfs:subClassOf*");
   std::string plain = ReplaceOnce(qp1, "rdfs:subClassOf+", "rdfs:subClassOf");
   sparql::CanonicalQuery e = sparql::Canonicalize(ParseText(star));
   sparql::CanonicalQuery f = sparql::Canonicalize(ParseText(plain));
-  CHECK(a.fingerprint != e.fingerprint);
-  CHECK(a.fingerprint != f.fingerprint);
-  CHECK(e.fingerprint != f.fingerprint);
-  CHECK(a.fingerprint != c.fingerprint);
-}
-
-SP2B_TEST(counts_divergence) {
-  CHECK(!sparql::CountsDiverge({100, 200}, {100, 200}));
-  CHECK(!sparql::CountsDiverge({100, 200}, {150, 300}));  // within 8x
-  CHECK(sparql::CountsDiverge({100}, {1000}));            // 10x up
-  CHECK(sparql::CountsDiverge({1000}, {100}));            // 10x down
-  CHECK(sparql::CountsDiverge({64}, {0}));                // to zero
-  CHECK(!sparql::CountsDiverge({5}, {40}));   // both below the floor
-  CHECK(sparql::CountsDiverge({1, 2}, {1}));  // shape mismatch
-
-  // The q3 family: equality-filter constants are substituted into the
-  // counted patterns, so swrc:pages vs. swrc:isbn produce divergent
-  // selectivity profiles for the same template.
-  const LoadedDocument& doc = Fixture();
-  std::vector<uint64_t> pages = sparql::PatternCounts(
-      ParseText(GetQuery("q3a").text), *doc.store, *doc.dict);
-  std::vector<uint64_t> isbn = sparql::PatternCounts(
-      ParseText(GetQuery("q3c").text), *doc.store, *doc.dict);
-  CHECK_EQ(pages.size(), size_t{2});
-  CHECK(pages[1] > 0);
-  CHECK(isbn[1] < pages[1]);  // a handful of book ISBNs vs. all pages
-  CHECK(sparql::CountsDiverge(pages, isbn));
-
-  // OFFSET variants share the profile exactly: replay, don't replan.
-  std::string q11 = GetQuery("q11").text;
-  std::vector<uint64_t> o50 =
-      sparql::PatternCounts(ParseText(q11), *doc.store, *doc.dict);
-  std::vector<uint64_t> o500 = sparql::PatternCounts(
-      ParseText(ReplaceOnce(q11, "OFFSET 50", "OFFSET 500")), *doc.store,
-      *doc.dict);
-  CHECK(!sparql::CountsDiverge(o50, o500));
+  CHECK(a.result_key != e.result_key);
+  CHECK(a.result_key != f.result_key);
+  CHECK(e.result_key != f.result_key);
+  CHECK(a.result_key != c.result_key);
 }
 
 SP2B_TEST(result_cache_lru) {
@@ -227,41 +186,6 @@ SP2B_TEST(result_cache_lru) {
   CHECK(cache.Get("a") == nullptr);
 }
 
-SP2B_TEST(plan_cache_lru) {
-  sparql::PlanCache cache(2);
-  CHECK(cache.Lookup("fp1") == nullptr);
-
-  sparql::PlanCacheEntry e1;
-  e1.script.valid = true;
-  e1.script.merges = {{0, 1}};
-  e1.base_counts = {10, 20};
-  cache.Put("fp1", e1);
-  cache.Put("fp2", {});
-  auto got = cache.Lookup("fp1");  // touches fp1 -> fp2 is now LRU
-  CHECK(got != nullptr);
-  CHECK_EQ(got->script.merges.size(), size_t{1});
-  CHECK_EQ(got->base_counts[1], uint64_t{20});
-
-  cache.Put("fp3", {});
-  CHECK(cache.Lookup("fp2") == nullptr);  // evicted
-  CHECK(cache.Lookup("fp1") != nullptr);
-  CHECK(cache.Lookup("fp3") != nullptr);
-  CHECK_EQ(cache.stats().entries, size_t{2});
-
-  cache.CountHit();
-  cache.CountHit();
-  cache.CountMiss();
-  cache.CountReplan();
-  sparql::PlanCache::Stats s = cache.stats();
-  CHECK_EQ(s.hits, uint64_t{2});
-  CHECK_EQ(s.misses, uint64_t{1});
-  CHECK_EQ(s.replans, uint64_t{1});
-
-  cache.Clear();
-  CHECK(cache.Lookup("fp1") == nullptr);
-  CHECK_EQ(cache.stats().entries, size_t{0});
-}
-
 SP2B_TEST(plan_replay_identical) {
   // Record the planner's decisions for every catalog query, replay
   // them, and require the replayed execution to produce the exact
@@ -286,8 +210,8 @@ SP2B_TEST(plan_replay_identical) {
     }
   }
 
-  // Cross-template transfer: a script recorded for q3a replays on q3b
-  // (same fingerprint, different constant) with identical results.
+  // Cross-query transfer: a script recorded for q3a replays on q3b
+  // (same shape, different constant) with identical results.
   sparql::AstQuery q3a = ParseText(GetQuery("q3a").text);
   sparql::AstQuery q3b = ParseText(GetQuery("q3b").text);
   sparql::PlanScript script;
@@ -308,7 +232,7 @@ SP2B_TEST(plan_replay_identical) {
   CHECK(Grid(fallback, *doc.dict) == Grid(engine.Execute(q4), *doc.dict));
 
   // Correlated OPTIONALs plan like every other SELECT, so their
-  // scripts are valid and enter the plan cache: replaying one (its
+  // scripts are valid: replaying one (its
   // merges include the ones over the numbered left rows) must give
   // the backtracking evaluator's grid.
   for (const test::NestedShape& shape : test::NestedShapes()) {
@@ -473,17 +397,23 @@ SP2B_TEST(server_cache_hits) {
   CHECK(test::StatsCounter(stats, "result_entries") >= 1);
   CHECK_EQ(test::StatsCounter(stats, "store_generation"), uint64_t{0});
 
-  // Same template, different OFFSET: distinct result key, shared plan
-  // -> a plan-cache hit without a result-cache hit.
+  // Same query at another OFFSET: a distinct result key, so two
+  // result-cache misses with different bodies. No plan-cache counters
+  // remain in /stats.
+  uint64_t misses_q11 = test::StatsCounter(stats, "result_misses");
   std::string q11 = GetQuery("q11").text;
-  CHECK_EQ(client.Get("/sparql?query=" + net::PercentEncode(q11)).status,
-           200);
+  net::HttpResponse o50 =
+      client.Get("/sparql?query=" + net::PercentEncode(q11));
   std::string q11b = ReplaceOnce(q11, "OFFSET 50", "OFFSET 60");
-  CHECK_EQ(client.Get("/sparql?query=" + net::PercentEncode(q11b)).status,
-           200);
+  CHECK(q11b != q11);
+  net::HttpResponse o60 =
+      client.Get("/sparql?query=" + net::PercentEncode(q11b));
+  CHECK_EQ(o50.status, 200);
+  CHECK_EQ(o60.status, 200);
+  CHECK(o50.body != o60.body);
   stats = client.Get("/stats").body;
-  CHECK(test::StatsCounter(stats, "plan_hits") >= 1);
-  CHECK(test::StatsCounter(stats, "plan_entries") >= 1);
+  CHECK_EQ(test::StatsCounter(stats, "result_misses"), misses_q11 + 2);
+  CHECK(stats.find("\"plan_") == std::string::npos);
 
   // Invalidation: generation bumps, the repeat is a miss again but
   // still byte-identical.
@@ -497,9 +427,8 @@ SP2B_TEST(server_cache_hits) {
   CHECK(test::StatsCounter(stats, "result_misses") > misses_before);
   server.Stop();
 
-  // Zero budgets are the off switches: no cache is built, /stats has
+  // A zero budget is the off switch: no cache is built, /stats has
   // no "cache" member, and responses are unchanged.
-  cfg.plan_cache_entries = 0;
   cfg.result_cache_mb = 0;
   net::SparqlServer uncached(*doc.store, *doc.dict, doc.stats.get(), cfg);
   uncached.Start();

@@ -43,7 +43,7 @@ using namespace sp2b::net;
 namespace {
 
 // Queries used throughout: a benchmark join, an ASK, and a full scan
-// whose response is large enough to exercise chunked writes.
+// whose response is large enough to exercise partial writes.
 const char kScan[] = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }";
 const char kAsk[] = "ASK { ?s ?p ?o }";
 

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     Expect(serve + " --triples 10q --port 0", 2);
     Expect(serve + " --live --live-base-year 19x5", 2);
     Expect(serve + " --live --live-interval-ms -5", 2);
-    Expect(serve + " --doc " + doc + " --plan-cache-entries 5x", 2);
+    Expect(serve + " --doc " + doc + " --result-cache-mb 5x", 2);
     Expect(serve + " --doc " + doc + " --result-cache-mb -1", 2);
   }
 

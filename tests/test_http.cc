@@ -203,6 +203,26 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Every 200 is one Content-Length body (no chunked framing), and the
+  // connection stays usable: a second request on the same keep-alive
+  // socket is answered.
+  {
+    HttpConnection conn(ConnectTcp("127.0.0.1", server.port));
+    for (const char* qid : {"q1", "q2"}) {
+      conn.WriteAll("GET /sparql?query=" + PercentEncode(GetQuery(qid).text) +
+                    " HTTP/1.1\r\nHost: x\r\n\r\n");
+      HttpResponse resp;
+      bool read = conn.ReadResponse(&resp) == HttpConnection::ReadStatus::kOk;
+      const std::string* length = resp.FindHeader("content-length");
+      Check(read && resp.status == 200 && length != nullptr &&
+                *length == std::to_string(resp.body.size()) &&
+                resp.FindHeader("transfer-encoding") == nullptr,
+            std::string(qid) +
+                " on one keep-alive connection: 200, Content-Length = body "
+                "size, no Transfer-Encoding");
+    }
+  }
+
   // The grid sweep above served q4 twice, so it is in the result
   // cache now; a cached response is within any time budget, so the
   // same microsecond-budget request succeeds from cache.
