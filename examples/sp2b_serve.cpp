@@ -27,8 +27,8 @@
 //     --port       listen port; 0 (default) picks an ephemeral port
 //     --port-file  write the bound port number to this file once
 //                  listening — race-free startup for test harnesses
-//     --workers    connection-serving lanes on the shared engine
-//                  thread pool (default 4)
+//     --workers    connection-serving lanes, one thread each
+//                  (default 4)
 //     --queue      admission-control queue depth; connections beyond
 //                  it receive 503 (default 64)
 //     --timeout    default per-query budget -> 408 (0 = none)

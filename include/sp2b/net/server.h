@@ -15,12 +15,13 @@
 //     computed against an older epoch can never be served after the
 //     data changed.
 //
-// Threading reuses the engine's work-stealing pool: a dispatcher
-// thread parks inside exec::ThreadPool::Shared().ParallelFor(workers,
-// workers, lane) where every lane is a long-running worker loop
-// draining a bounded queue of accepted connections. The accept thread
-// is the admission controller — when the queue is full it answers 503
-// immediately instead of letting latency collapse under overload.
+// Threading: config.workers plain threads ("lanes"), each a loop
+// draining a bounded queue of accepted connections and serving one
+// connection at a time. The engine's work-stealing pool serves only
+// intra-query parallelism, so a planned@N query on a lane fans out
+// like it does in-process. The accept thread is the admission
+// controller — when the queue is full it answers 503 immediately
+// instead of letting latency collapse under overload.
 //
 // Outcome taxonomy mirrors the CLI exit codes: parse error -> 400
 // ('E'), query timeout -> 408 ('T'), row cap -> 413 ('M'),
@@ -37,6 +38,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "sp2b/metrics.h"
 #include "sp2b/sparql/engine.h"
@@ -124,7 +126,8 @@ class SparqlServer {
   SparqlServer(const SparqlServer&) = delete;
   SparqlServer& operator=(const SparqlServer&) = delete;
 
-  /// Binds + listens and spawns the accept and dispatcher threads.
+  /// Binds + listens and spawns the accept thread and the lanes, which
+  /// inherit the caller's CPU affinity.
   /// Throws HttpError when the address is unavailable.
   void Start();
 
@@ -140,12 +143,6 @@ class SparqlServer {
   void Stop();
 
   const ServerMetrics& metrics() const { return metrics_; }
-
-  /// Drops every cached result and bumps the result cache's
-  /// store generation — call after mutating the store. (The bundled
-  /// stores are immutable while served; this is the invalidation hook
-  /// for tests and future mutable stores.) No-op when caching is off.
-  void InvalidateCaches();
 
  private:
   void InitCaches();
@@ -179,12 +176,13 @@ class SparqlServer {
 
   int listen_fd_ = -1;
   int port_ = 0;
-  std::atomic<bool> stop_{false};            // lanes exit (post-drain)
-  std::atomic<bool> stop_accepting_{false};  // drain phase 1
-  std::atomic<bool> draining_{false};        // drain phase 2
-  std::atomic<bool> shutdown_started_{false};
+  // Set once by Stop: the accept loop exits and keep-alive ends.
+  std::atomic<bool> draining_{false};
+  // Lanes exit after the drain. Written only under mu_ (so a lane
+  // cannot miss the wakeup); read without it by ServeConnection.
+  std::atomic<bool> stop_{false};
   std::thread accept_thread_;
-  std::thread dispatcher_thread_;
+  std::vector<std::thread> lanes_;
 
   std::mutex mu_;
   std::condition_variable cv_;

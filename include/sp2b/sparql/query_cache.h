@@ -127,7 +127,6 @@ class QueryTextMemo {
 
   std::optional<std::string> Get(const std::string& text);
   void Put(const std::string& text, std::string result_key);
-  void Clear();
 
  private:
   using Slot = std::pair<std::string, std::string>;

@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "sp2b/exec/thread_pool.h"
 #include "sp2b/fault.h"
 #include "sp2b/net/http.h"
 #include "sp2b/net/protocol.h"
@@ -136,11 +135,6 @@ void SparqlServer::InitCaches() {
   }
 }
 
-void SparqlServer::InvalidateCaches() {
-  if (result_cache_ != nullptr) result_cache_->BumpGeneration();
-  if (query_memo_ != nullptr) query_memo_->Clear();
-}
-
 std::string SparqlServer::CacheStatsJson() const {
   sparql::ResultCache::Stats rs = result_cache_->stats();
   std::string out = "{";
@@ -203,28 +197,18 @@ void SparqlServer::Start() {
   port_ = ntohs(bound.sin_port);
 
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  // The dispatcher parks inside ParallelFor: each index is one
-  // long-running worker lane on the shared engine pool (the
-  // dispatcher thread itself serves as one of the lanes).
-  dispatcher_thread_ = std::thread([this] {
-    exec::ThreadPool::Shared().ParallelFor(
-        static_cast<size_t>(config_.workers), config_.workers,
-        [this](size_t) { WorkerLane(); });
-  });
+  for (int i = 0; i < config_.workers; ++i) {
+    lanes_.emplace_back([this] { WorkerLane(); });
+  }
 }
 
 void SparqlServer::Stop() {
-  if (shutdown_started_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    if (dispatcher_thread_.joinable()) dispatcher_thread_.join();
-    return;
-  }
+  if (draining_.exchange(true)) return;
 
-  // Phase 1: stop accepting. Shutting the listener down wakes a
-  // blocked accept(); the loop sees stop_accepting_ and exits. The fd
-  // is closed only after the join: AcceptLoop reads listen_fd_, and a
-  // number closed under it could be reused and accept()ed.
-  stop_accepting_.store(true);
+  // Stop accepting. Shutting the listener down wakes a blocked
+  // accept(); the loop sees draining_ and exits. The fd is closed only
+  // after the join: AcceptLoop reads listen_fd_, and a number closed
+  // under it could be reused and accept()ed.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
@@ -232,13 +216,14 @@ void SparqlServer::Stop() {
     listen_fd_ = -1;
   }
 
-  // Phase 2: drain. SHUT_RD gives idle keep-alive readers immediate
-  // EOF while letting in-flight responses keep writing (already-
-  // buffered request bytes stay readable), then wait for the lanes to
-  // finish everything inside the drain budget.
+  // Drain. SHUT_RD gives idle keep-alive readers immediate EOF while
+  // letting in-flight responses keep writing (already-buffered request
+  // bytes stay readable); wait for the lanes to finish everything
+  // inside the drain budget, then force-close whatever outlived it.
+  // stop_ is set under mu_ so no lane can check its wait predicate
+  // between the store and the notify and then sleep through it.
   {
     std::unique_lock<std::mutex> lock(mu_);
-    draining_.store(true);
     metrics_.drain.fetch_add(active_fds_.size() + pending_.size());
     for (int fd : active_fds_) ::shutdown(fd, SHUT_RD);
     for (int fd : pending_) ::shutdown(fd, SHUT_RD);
@@ -247,16 +232,16 @@ void SparqlServer::Stop() {
         lock, std::chrono::milliseconds(config_.drain_timeout_ms),
         [this] { return active_fds_.empty() && pending_.empty(); });
 
-    // Phase 3: force-close whatever outlived the budget.
     size_t leftovers = active_fds_.size() + pending_.size();
     if (leftovers > 0) metrics_.drain_forced.fetch_add(leftovers);
     for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
     for (int fd : pending_) ::close(fd);
     pending_.clear();
+    stop_.store(true);
+    cv_.notify_all();
   }
-  stop_.store(true);
-  cv_.notify_all();
-  if (dispatcher_thread_.joinable()) dispatcher_thread_.join();
+  for (std::thread& lane : lanes_) lane.join();
+  lanes_.clear();
 }
 
 void SparqlServer::AcceptLoop() {
@@ -267,10 +252,10 @@ void SparqlServer::AcceptLoop() {
   bool warned_resource = false;
   bool warned_other = false;
   auto backoff = [&](int ms) {
-    if (stop_accepting_.load()) return;
+    if (draining_.load()) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   };
-  while (!stop_accepting_.load()) {
+  while (!draining_.load()) {
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     int err = fd < 0 ? errno : 0;
     if (fault::Outcome f = fault::Probe(fault::Site::kNetAccept)) {
@@ -284,7 +269,7 @@ void SparqlServer::AcceptLoop() {
       }
     }
     if (fd < 0) {
-      if (stop_accepting_.load()) return;
+      if (draining_.load()) return;
       if (err == EINTR || err == ECONNABORTED) continue;  // transient
       if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
           err == ENOMEM) {
@@ -405,8 +390,8 @@ bool SparqlServer::HandleRequest(HttpConnection& conn,
   const std::string* conn_header = req.FindHeader("connection");
   bool keep_alive =
       conn_header == nullptr || conn_header->find("close") == std::string::npos;
-  // During drain every response closes its connection, so in-flight
-  // work finishes but nothing new rides the keep-alive.
+  // Once shutdown starts every response closes its connection, so
+  // in-flight work finishes but nothing new rides the keep-alive.
   if (draining_.load()) keep_alive = false;
 
   // Outcome counters increment only after the response write returned,

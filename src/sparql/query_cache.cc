@@ -339,10 +339,4 @@ void QueryTextMemo::Put(const std::string& text, std::string result_key) {
   }
 }
 
-void QueryTextMemo::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
 }  // namespace sp2b::sparql

@@ -493,6 +493,46 @@ SP2B_TEST(drain_force_close) {
 }
 
 // --------------------------------------------------------------------------
+// Shutdown under load, many times over: each cycle starts a server,
+// parks one idle keep-alive connection on a lane, puts one request in
+// flight and stops. The lanes that finish those connections go back to
+// their wait while Stop is waking them; a wakeup lost there parks a
+// lane for good and Stop never returns (the watchdog then fails the
+// case). TSan cannot see that race, since the flags are atomic, so
+// the repetition is the check.
+// --------------------------------------------------------------------------
+SP2B_TEST(start_stop_cycles) {
+  LoadedDocument doc = GenerateDocument(1000, StoreKind::kIndex, true);
+  ServerConfig config;
+  config.result_cache_mb = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    SparqlServer server(*doc.store, *doc.dict, doc.stats.get(), config);
+    server.Start();
+    const ServerMetrics& m = server.metrics();
+
+    HttpClient idle("127.0.0.1", server.port());
+    CHECK_EQ(idle.Get("/health").status, 200);
+
+    HttpResponse inflight;  // status stays 0 if the exchange failed
+    std::thread client_thread([&] {
+      try {
+        HttpClient client("127.0.0.1", server.port());
+        inflight = client.Get(SparqlTarget(kScan));
+      } catch (const std::exception&) {
+      }
+    });
+    CHECK(WaitForCounter(m.requests, 2));
+    server.Stop();
+    client_thread.join();
+
+    CHECK_EQ(inflight.status, 200);
+    CHECK_EQ(m.admin.load(), 1u);
+    CHECK_EQ(m.ok.load(), 1u);
+    CheckReconciled(m);
+  }
+}
+
+// --------------------------------------------------------------------------
 // A compaction that runs out of memory must not take a live server
 // down: the compactor books the failure, queries keep answering from
 // the last published snapshot, and the next wake compacts for real.

@@ -6,7 +6,8 @@
 // document (seed 4711, so the two stores are identical). Also
 // exercises the full wire outcome taxonomy: 400 parse error, 408
 // timeout, 413 row cap, and 503 admission overflow, plus clean
-// SIGTERM shutdown.
+// SIGTERM shutdown. A planned@4 server must return the serial
+// server's q4 and q6 bodies byte for byte.
 //
 // Usage: test_http <path-to-sp2b_serve>
 #include <signal.h>
@@ -175,6 +176,16 @@ int main(int argc, char** argv) {
   Check(StatusOf(client, "/sparql?query=" + heavy + "&max-rows=10") == 413,
         "10-row cap on q4 -> 413");
 
+  // Raw bodies the default (serial) planned server returns for the two
+  // heaviest joins in both formats; the planned@4 server below must
+  // return exactly these bytes to the same requests.
+  struct ServedBody {
+    std::string label;
+    std::string target;
+    std::vector<std::pair<std::string, std::string>> headers;
+    std::string body;
+  };
+  std::vector<ServedBody> parallel_reference;
   for (const BenchmarkQuery& q : queries) {
     std::vector<std::string> expected = ReferenceGrid(
         engine.Execute(sparql::Parse(q.text, DefaultPrefixes())), *doc.dict);
@@ -184,8 +195,8 @@ int main(int argc, char** argv) {
       if (format == ResultFormat::kBinary) {
         headers.emplace_back("Accept", kContentTypeBinary);
       }
-      HttpResponse resp =
-          client.Get("/sparql?query=" + PercentEncode(q.text), headers);
+      const std::string target = "/sparql?query=" + PercentEncode(q.text);
+      HttpResponse resp = client.Get(target, headers);
       if (resp.status != 200) {
         Check(false, q.id + " (" + fmt + "): status 200");
         continue;
@@ -200,6 +211,10 @@ int main(int argc, char** argv) {
       Check(got == expected, q.id + " (" + fmt + "): " +
                                  std::to_string(expected.size()) +
                                  " rows identical to in-process engine");
+      if (q.id == "q4" || q.id == "q6") {
+        parallel_reference.push_back(
+            {q.id + " (" + fmt + ")", target, headers, resp.body});
+      }
     }
   }
 
@@ -231,6 +246,26 @@ int main(int argc, char** argv) {
         "microsecond budget on cached q4 -> 200 from cache");
   Check(StatusOf(client, "/stats") == 200, "/stats serves");
   Check(server.Terminate() == 0, "clean shutdown on SIGTERM");
+
+  // The parallel engine behind the endpoint: a planned@4 server with
+  // no result cache executes every request, and each body must be the
+  // serial server's, byte for byte.
+  ServerProcess parallel;
+  if (!parallel.Spawn(serve, {"--triples", std::to_string(kTriples),
+                              "--engine", "planned@4", "--result-cache-mb",
+                              "0"})) {
+    std::printf("[FAIL] planned@4 sp2b_serve did not start\n");
+    return 1;
+  }
+  {
+    HttpClient par("127.0.0.1", parallel.port);
+    for (const ServedBody& ref : parallel_reference) {
+      HttpResponse resp = par.Get(ref.target, ref.headers);
+      Check(resp.status == 200 && resp.body == ref.body,
+            ref.label + ": planned@4 body byte-identical to planned");
+    }
+  }
+  Check(parallel.Terminate() == 0, "planned@4 server clean shutdown");
 
   // 503 admission control: one worker held by an idle keep-alive
   // connection, a queue of one already full, next connection shed.
