@@ -1,4 +1,4 @@
-// Shared plumbing for the paper-table benchmark binaries.
+// Shared plumbing for sp2b_reproduce and bench_joins.
 #ifndef SP2B_BENCH_BENCH_COMMON_H_
 #define SP2B_BENCH_BENCH_COMMON_H_
 
@@ -71,12 +71,6 @@ inline ResultGrid RunGrid(DocumentPool& pool,
     }
   }
   return grid;
-}
-
-inline std::vector<std::string> AllQueryIds() {
-  std::vector<std::string> ids;
-  for (const BenchmarkQuery& q : AllQueries()) ids.push_back(q.id);
-  return ids;
 }
 
 }  // namespace sp2b::bench

@@ -75,6 +75,7 @@ struct QueryRun {
   double usr_seconds = 0.0;  // process user time delta
   double sys_seconds = 0.0;  // process system time delta
   uint64_t result_count = 0;
+  std::string first_row;      // RowToString of row 0 (qa3's count)
   uint64_t memory_bytes = 0;  // store+dict (in-memory) / result memory
   std::string error;
 };

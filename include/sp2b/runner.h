@@ -56,12 +56,9 @@ struct EngineSpec {
 std::vector<EngineSpec> DefaultEngineSpecs();
 
 /// The fastest correct backtracking configuration (hexastore +
-/// semantic optimizer); used where the paper reports
-/// engine-independent numbers (Table V).
+/// semantic optimizer): quickstart's Table V counts and the
+/// optimizer ablation's semantic column.
 EngineSpec SemanticEngineSpec();
-
-/// The operator-tree engine (hexastore + cost-based plans, plan.h).
-EngineSpec PlannedEngineSpec();
 
 /// The operator-tree engine with merge joins disabled — the
 /// hash-join-only planner, kept as the measurable baseline the

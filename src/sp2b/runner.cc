@@ -132,11 +132,6 @@ EngineSpec SemanticEngineSpec() {
           /*in_memory=*/false};
 }
 
-EngineSpec PlannedEngineSpec() {
-  return {"planned", StoreKind::kIndex, sparql::EngineConfig::Planned(),
-          /*in_memory=*/false};
-}
-
 EngineSpec PlannedHashEngineSpec() {
   return {"planned-hash", StoreKind::kIndex,
           sparql::EngineConfig::PlannedHash(), /*in_memory=*/false};
@@ -226,6 +221,9 @@ QueryRun RunOnDocument(const EngineSpec& spec, const LoadedDocument& doc,
     sparql::QueryResult result = engine.Execute(ast, limits);
     run.outcome = Outcome::kSuccess;
     run.result_count = result.row_count();
+    if (result.rows.size() > 0) {
+      run.first_row = result.RowToString(0, *doc.dict);
+    }
     run.memory_bytes = base_memory + result.rows.MemoryBytes();
   } catch (const sparql::QueryTimeout&) {
     run.outcome = Outcome::kTimeout;

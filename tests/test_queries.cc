@@ -343,6 +343,11 @@ SP2B_TEST(aggregates) {
   const rdf::Term& n = qa3.ResolveTerm(
       qa3.rows.Row(0)[qa3.projection[0]], *doc.dict);
   CHECK_EQ(n.lexical, std::to_string(authors.size()));
+  // The runner renders that row too; sp2b_reproduce checks qa3 against
+  // Table VIII's #dist.auth through it.
+  QueryRun run =
+      RunOnLoaded(SemanticEngineSpec(), doc, GetQuery("qa3"), RunOptions{});
+  CHECK_EQ(run.first_row, "n=\"" + std::to_string(authors.size()) + "\"");
 
   // qa2: at most 10 rows (LIMIT), sorted by descending count.
   sparql::QueryResult qa2 = RunId("qa2");
