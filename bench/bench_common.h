@@ -2,6 +2,8 @@
 #ifndef SP2B_BENCH_BENCH_COMMON_H_
 #define SP2B_BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -14,8 +16,16 @@
 
 namespace sp2b::bench {
 
+/// What loading one (store kind, size) document cost.
+struct LoadFigures {
+  double load_seconds = 0.0;
+  uint64_t memory_bytes = 0;
+};
+
 /// Caches loaded documents per (store kind, size) for native engines
 /// and provisions the N-Triples files for in-memory reloading.
+/// Release(size) drops a size's stores but keeps their LoadFigures, so
+/// a run over several sizes holds at most one size's stores at a time.
 class DocumentPool {
  public:
   DocumentPool() : dir_(DataDir()) {}
@@ -34,9 +44,22 @@ class DocumentPool {
     if (it == loaded_.end()) {
       auto doc = std::make_unique<LoadedDocument>(
           LoadDocument(FilePath(size), kind, /*with_stats=*/true));
+      figures_[key] = {doc->load_seconds, doc->memory_bytes};
       it = loaded_.emplace(key, std::move(doc)).first;
     }
     return *it->second;
+  }
+
+  /// Load cost of a (kind, size) that Loaded() loaded, released or not.
+  const LoadFigures& Figures(StoreKind kind, uint64_t size) const {
+    return figures_.at(std::make_pair(kind, size));
+  }
+
+  /// Frees every store loaded for `size`.
+  void Release(uint64_t size) {
+    for (auto it = loaded_.begin(); it != loaded_.end();) {
+      it = it->first.second == size ? loaded_.erase(it) : std::next(it);
+    }
   }
 
  private:
@@ -44,9 +67,11 @@ class DocumentPool {
   std::map<uint64_t, std::string> files_;
   std::map<std::pair<StoreKind, uint64_t>, std::unique_ptr<LoadedDocument>>
       loaded_;
+  std::map<std::pair<StoreKind, uint64_t>, LoadFigures> figures_;
 };
 
-/// Runs `query_ids` for every engine and size into a ResultGrid.
+/// Runs `query_ids` for every engine and size into a ResultGrid,
+/// releasing each size's stores once its cells are done.
 inline ResultGrid RunGrid(DocumentPool& pool,
                           const std::vector<EngineSpec>& specs,
                           const std::vector<uint64_t>& sizes,
@@ -69,6 +94,7 @@ inline ResultGrid RunGrid(DocumentPool& pool,
         grid.Record(spec.name, size, qid, std::move(run));
       }
     }
+    pool.Release(size);
   }
   return grid;
 }

@@ -313,7 +313,7 @@ void PrintMeans(const char* title, const ResultGrid& grid,
   Print(title, table);
 }
 
-void PrintGridTables(const ResultGrid& grid, DocumentPool& pool,
+void PrintGridTables(const ResultGrid& grid, const DocumentPool& pool,
                      const std::vector<EngineSpec>& specs,
                      const std::vector<uint64_t>& sizes, double timeout) {
   // DefaultEngineSpecs(): two in-memory engines, then three native.
@@ -366,12 +366,12 @@ void PrintGridTables(const ResultGrid& grid, DocumentPool& pool,
 
   Table load({"size", "index [s]", "vertical [s]", "mem [s]", "index [MB]"});
   for (uint64_t size : sizes) {
-    const LoadedDocument& idx = pool.Loaded(StoreKind::kIndex, size);
+    const LoadFigures& idx = pool.Figures(StoreKind::kIndex, size);
     load.AddRow({SizeLabel(size), FormatSeconds(idx.load_seconds),
-                 FormatSeconds(pool.Loaded(StoreKind::kVertical, size)
-                                   .load_seconds),
-                 FormatSeconds(pool.Loaded(StoreKind::kMem, size)
-                                   .load_seconds),
+                 FormatSeconds(
+                     pool.Figures(StoreKind::kVertical, size).load_seconds),
+                 FormatSeconds(
+                     pool.Figures(StoreKind::kMem, size).load_seconds),
                  FormatMb(static_cast<double>(idx.memory_bytes))});
   }
   Print("Fig. 5 (bottom) and storage ablation: loading (parse + index + "

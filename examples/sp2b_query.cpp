@@ -4,7 +4,8 @@
 // Usage:
 //   sp2b_query <document.nt> <q1..q12c | -> [engine] [max_rows]
 //              [--explain] [--timeout <seconds>] [--max-rows <n>]
-//     engine: naive | indexed | semantic | planned (default: semantic)
+//     engine: naive | indexed | semantic | planned | planned-hash, with
+//             an optional @N thread count (planned@4); default semantic
 //     '-' reads a SPARQL query from stdin (SP2B prefixes pre-declared)
 //     --explain   print the physical operator tree with estimated and
 //                 actual cardinalities (implies the planned engine)
@@ -42,7 +43,8 @@ constexpr int kExitMemory = 4;
 int Usage() {
   std::fprintf(stderr,
                "usage: sp2b_query <document.nt> <query-id|-> "
-               "[naive|indexed|semantic|planned] [max_rows]\n"
+               "[naive|indexed|semantic|planned|planned-hash][@N] "
+               "[max_rows]\n"
                "       [--explain] [--timeout <seconds>] [--max-rows <n>]\n");
   return kExitUsage;
 }
@@ -117,7 +119,7 @@ int Run(int argc, char** argv) {
   } catch (const std::out_of_range&) {
     return Usage();
   }
-  if (explain && !cfg.planned) {
+  if (explain && !cfg.planned()) {
     std::fprintf(stderr, "error: --explain requires the planned engine\n");
     return Usage();
   }
@@ -170,7 +172,7 @@ int Run(int argc, char** argv) {
   std::fprintf(stderr, "%s rows in %.4fs (%s probes, engine=%s)\n",
                FormatCount(result.row_count()).c_str(), secs,
                FormatCount(result.stats.probes).c_str(),
-               cfg.name.c_str());
+               cfg.name().c_str());
   return 0;
 }
 

@@ -1,15 +1,12 @@
-// A small work-stealing thread pool shared by every parallel
-// operator and (in tests) instantiable standalone.
+// A small thread pool shared by every parallel operator and (in
+// tests) instantiable standalone.
 //
-// Structure: one task deque per worker. Submission distributes tasks
-// round-robin; a worker pops from the back of its own deque (LIFO,
-// cache-warm) and steals from the front of a sibling's (FIFO, the
-// oldest — and therefore usually largest remaining — unit of work)
-// when its own deque runs dry. Tasks here are coarse batch runners
-// (one per participating lane, each draining a shared atomic morsel
-// dispenser), so a single pool-wide mutex around the deques costs
-// nothing measurable while keeping the pool trivially ThreadSanitizer
-// clean.
+// Structure: one FIFO task queue under the pool mutex. Tasks here are
+// coarse batch runners (one per participating lane, each draining a
+// shared atomic morsel dispenser), so which worker claims which lane
+// does not matter and a single queue is all the scheduling they need;
+// the one mutex costs nothing measurable and keeps the pool trivially
+// ThreadSanitizer clean.
 //
 // ParallelFor is the only scheduling primitive the engine uses: it
 // runs fn(0..n-1) with bounded parallelism, the calling thread
@@ -81,12 +78,8 @@ class ThreadPool {
   };
 
   void Submit(Task task);
-  void WorkerLoop(size_t self);
-  /// Pops the back of `self`'s deque, else steals the front of
-  /// another worker's. Requires mu_ held; empty run when no task is
-  /// queued anywhere.
-  Task PopTask(size_t self);
-  /// Removes every still-queued task of `batch` from the deques and
+  void WorkerLoop();
+  /// Removes every still-queued task of `batch` from the queue and
   /// returns how many were revoked. The caller subtracts them from
   /// the batch's active count, so its rendezvous only waits on lanes
   /// a worker actually started.
@@ -95,10 +88,8 @@ class ThreadPool {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::deque<Task>> queues_;
+  std::deque<Task> queue_;  // queued (not yet claimed) lanes, FIFO
   std::vector<std::thread> threads_;
-  size_t next_queue_ = 0;  // round-robin submission target
-  size_t pending_ = 0;     // queued (not yet claimed) tasks
   bool stop_ = false;
 };
 

@@ -1,9 +1,10 @@
 // Minimal HTTP/1.1 plumbing shared by the SPARQL endpoint server and
 // the HTTP client of the tests and benchmark: request/response head parsing,
 // percent and form-urlencoded codecs, a buffered keep-alive
-// connection over a POSIX socket (Content-Length and chunked bodies),
-// and a small blocking client. Everything above the socket layer is
-// pure string-in/string-out so it unit-tests without a network.
+// connection over a POSIX socket (Content-Length bodies both ways,
+// chunked request bodies), and a small blocking client. Everything
+// above the socket layer is pure string-in/string-out so it
+// unit-tests without a network.
 #ifndef SP2B_NET_HTTP_H_
 #define SP2B_NET_HTTP_H_
 
@@ -120,12 +121,13 @@ class HttpConnection {
   int fd() const { return fd_; }
   void Close();
 
-  /// Reads one request (head + Content-Length body). Throws HttpError
-  /// on malformed or oversized input.
+  /// Reads one request (head + Content-Length or chunked body).
+  /// Throws HttpError on malformed or oversized input.
   ReadStatus ReadRequest(HttpRequest* out);
 
-  /// Reads one response; supports Content-Length, chunked transfer
-  /// encoding, and close-delimited bodies.
+  /// Reads one Content-Length-framed response (the only framing the
+  /// server writes). Throws HttpError on a response without
+  /// Content-Length, or a malformed or oversized one.
   ReadStatus ReadResponse(HttpResponse* out);
 
   /// Writes everything or throws HttpError (SIGPIPE suppressed).

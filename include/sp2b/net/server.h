@@ -17,7 +17,7 @@
 //
 // Threading: config.workers plain threads ("lanes"), each a loop
 // draining a bounded queue of accepted connections and serving one
-// connection at a time. The engine's work-stealing pool serves only
+// connection at a time. The engine's thread pool serves only
 // intra-query parallelism, so a planned@N query on a lane fans out
 // like it does in-process. The accept thread is the admission
 // controller — when the queue is full it answers 503 immediately

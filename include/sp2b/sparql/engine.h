@@ -1,22 +1,10 @@
-// The SPARQL evaluator: four optimization levels. The first three run
-// backtracking index-nested-loop evaluation of the compiled algebra
-// (Section V):
-//   naive    — syntactic pattern order, filters evaluated last;
-//   indexed  — selectivity-based join reordering + filter pushing;
-//   semantic — + equality-filter-to-binding substitution and keyed
-//              OPTIONAL left joins.
-// The fourth compiles to an explicit physical operator tree (plan.h)
-// with cost-based join ordering, hash joins, and order-aware merge
-// joins over the stores' sorted block scans:
-//   planned  — IndexScan/HashJoin/MergeJoin/MergeScanJoin/
-//              IndexNestedLoopJoin/Filter/LeftJoin/Union operators;
-//              merge joins when both inputs arrive sorted on the join
-//              key, hash joins when both inputs are large.
-// "planned-hash" pins the hash-only planner (merge joins disabled)
-// as a measurable baseline for the merge-join strategy. The planned
-// levels run every SELECT through the plan, correlated OPTIONALs
-// included; ASK keeps the backtracking evaluator at every level, since
-// it stops at the first solution.
+// The SPARQL evaluator at five levels (EngineConfig::Level). naive,
+// indexed and semantic run backtracking index-nested-loop evaluation
+// of the compiled algebra (Section V); planned and planned-hash run
+// every SELECT, correlated OPTIONALs included, through the physical
+// operator tree of plan.h. ASK keeps the backtracking evaluator at
+// every level, since it stops at the first solution; a planned level
+// compiles it as semantic does.
 #ifndef SP2B_SPARQL_ENGINE_H_
 #define SP2B_SPARQL_ENGINE_H_
 
@@ -35,48 +23,53 @@
 namespace sp2b::sparql {
 
 struct EngineConfig {
-  std::string name;
-  bool reorder = false;           // join reordering by selectivity
-  bool push_filters = false;      // evaluate filters as soon as bound
-  bool equality_binding = false;  // FILTER(?a=?b / ?a=const) -> binding
-  bool leftjoin_keys = false;     // seed OPTIONAL joins from equalities
-  /// Execute SELECTs through the physical operator tree (plan.h)
-  /// instead of the backtracking evaluator. The planner supersedes
-  /// `reorder` and `push_filters` (ASK, still backtracking, turns them
-  /// on); the semantic rewrites still feed it join keys.
-  bool planned = false;
-  /// Let the planner pick order-aware merge joins when both inputs
-  /// arrive sorted on the join key; off pins the hash-join-only
-  /// planner ("planned-hash") for apples-to-apples comparison.
-  bool merge_joins = false;
+  /// The engine levels, each a superset of the previous one's rewrites
+  /// up to semantic:
+  ///   kNaive       — backtracking, syntactic pattern order, filters
+  ///                  evaluated last;
+  ///   kIndexed     — + join reordering by selectivity and filters
+  ///                  pushed to the first stage that binds them;
+  ///   kSemantic    — + equality filters turned into bindings
+  ///                  (FILTER(?a=?b / ?a=const)) and OPTIONAL left
+  ///                  joins seeded from equalities;
+  ///   kPlanned     — semantic's rewrites feeding the cost-based
+  ///                  physical planner (plan.h), which orders joins
+  ///                  itself: order-aware merge joins (ScanMergeJoin,
+  ///                  MergeScanJoin) when an input arrives sorted on
+  ///                  the join key, hash joins when both inputs are
+  ///                  large, index nested loops for selective probes;
+  ///   kPlannedHash — kPlanned without merge joins, the hash-join-only
+  ///                  baseline for the merge-join strategy.
+  enum Level { kNaive, kIndexed, kSemantic, kPlanned, kPlannedHash };
+
+  Level level = kNaive;
   /// Intra-query parallelism of the planned engine: with threads > 1
   /// the planner may choose morsel-driven parallel scans, partitioned
   /// parallel hash joins, and parallel union branch execution on the
-  /// shared work-stealing pool (exec/thread_pool.h). The default 1
-  /// produces today's serial plans bit-for-bit; the choice is
-  /// cost-gated, so small inputs stay serial even with threads > 1.
-  /// Only the planned levels consult it.
+  /// shared thread pool (exec/thread_pool.h). The default 1 produces
+  /// today's serial plans bit-for-bit; the choice is cost-gated, so
+  /// small inputs stay serial even with threads > 1. Only the planned
+  /// levels consult it.
   int threads = 1;
 
-  static EngineConfig Naive() {
-    return {"naive", false, false, false, false, false, false};
-  }
-  static EngineConfig Indexed() {
-    return {"indexed", true, true, false, false, false, false};
-  }
-  static EngineConfig Semantic() {
-    return {"semantic", true, true, true, true, false, false};
-  }
-  static EngineConfig Planned() {
-    return {"planned", false, false, true, true, true, true};
-  }
-  static EngineConfig PlannedHash() {
-    return {"planned-hash", false, false, true, true, true, false};
-  }
+  /// SELECTs run through the physical operator tree (plan.h) instead
+  /// of the backtracking evaluator.
+  bool planned() const { return level >= kPlanned; }
+
+  /// The level's name, with "@N" appended when threads > 1
+  /// ("planned@4"); ByName(name()) reproduces the config.
+  std::string name() const;
+
+  static EngineConfig Naive() { return {kNaive}; }
+  static EngineConfig Indexed() { return {kIndexed}; }
+  static EngineConfig Semantic() { return {kSemantic}; }
+  static EngineConfig Planned() { return {kPlanned}; }
+  static EngineConfig PlannedHash() { return {kPlannedHash}; }
 
   /// Lookup by level name ("naive", "indexed", "semantic", "planned",
-  /// "planned-hash"); a "@N" suffix ("planned@4") additionally sets
-  /// `threads`. Throws std::out_of_range for anything else.
+  /// "planned-hash"); a "@N" suffix ("planned@4"; N digits only,
+  /// 1 <= N <= 256) additionally sets `threads`. Throws
+  /// std::out_of_range for anything else.
   static EngineConfig ByName(const std::string& name);
 };
 

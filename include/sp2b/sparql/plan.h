@@ -1,18 +1,19 @@
 // Physical-plan layer: compiles a parsed query into an explicit
-// operator tree — IndexScan, HashJoin, MergeJoin, MergeScanJoin,
+// operator tree — IndexScan, HashJoin, ScanMergeJoin, MergeScanJoin,
 // IndexNestedLoopJoin, Filter, LeftJoin, Union, Bind, RowId — with
 // cost-based join ordering driven by store counts and the
 // per-predicate Stats cardinalities. The planner tracks interesting
 // orders: scans advertise the physical sort order of their block
-// ranges, and when both join inputs arrive sorted on the join key a
-// galloping merge join replaces the hash join (MergeScanJoin zips a
-// sorted intermediate directly against a sorted scan range without
-// materializing it). Hash joins remain the choice for large unsorted
-// inputs; selective probes fall back to index nested loops. Every
-// operator materializes its output once (operators form a DAG: union
-// branches and correlated OPTIONAL right sides share their outer
-// input), so the tree can report estimated vs. actual cardinalities
-// per operator after execution (EXPLAIN).
+// ranges, and when a join's inputs can arrive sorted on the join key
+// a galloping merge replaces the hash join (ScanMergeJoin intersects
+// two sorted scan ranges, MergeScanJoin zips a sorted intermediate
+// against a sorted scan range; neither materializes the range). Hash
+// joins remain the choice for large unsorted inputs and for joins of
+// two intermediates; selective probes fall back to index nested
+// loops. Every operator materializes its output once (operators form
+// a DAG: union branches and correlated OPTIONAL right sides share
+// their outer input), so the tree can report estimated vs. actual
+// cardinalities per operator after execution (EXPLAIN).
 #ifndef SP2B_SPARQL_PLAN_H_
 #define SP2B_SPARQL_PLAN_H_
 
@@ -77,22 +78,21 @@ class Plan {
  private:
   friend Plan BuildPlan(internal::CompiledQuery& q, const AstQuery& ast,
                         const rdf::Store& store, const rdf::Dictionary& dict,
-                        const rdf::Stats* stats, bool merge_joins,
-                        int threads, const PlanScript* replay,
-                        PlanScript* record, uint64_t root_cap,
-                        const QueryLimits& limits);
+                        const rdf::Stats* stats, const EngineConfig& cfg,
+                        const PlanScript* replay, PlanScript* record,
+                        uint64_t root_cap, const QueryLimits& limits);
 
   std::shared_ptr<internal::Operator> root_;
 };
 
 /// Plans the compiled WHERE clause of `q` (the `ast` is consulted only
 /// for the root projection/modifier labels). Used by the engine's
-/// `planned` level; exposed for tests and tooling. `merge_joins`
-/// false pins the hash-only strategy choice (the "planned-hash"
-/// level). `threads` > 1 lets the cost gate swap in the parallel
-/// operators (ParallelScan[n], PartitionedHashJoin[n],
-/// ParallelUnion[n]) where the estimated input is large enough to
-/// amortize fan-out; 1 reproduces the serial plan bit-for-bit.
+/// planned levels. `cfg.level` kPlannedHash pins the hash-only
+/// strategy choice (no merge joins). `cfg.threads` > 1 lets the cost
+/// gate swap in the parallel operators (ParallelScan[n],
+/// PartitionedHashJoin[n], ParallelUnion[n]) where the estimated input
+/// is large enough to amortize fan-out; 1 reproduces the serial plan
+/// bit-for-bit.
 /// `replay`/`record` are the plan record/replay hooks (PlanScript,
 /// engine.h): replay pins each greedy merge to the
 /// recorded component pair (methods and costs re-derived from current
@@ -111,10 +111,9 @@ class Plan {
 /// is set to the widened row, once per call.
 Plan BuildPlan(internal::CompiledQuery& q, const AstQuery& ast,
                const rdf::Store& store, const rdf::Dictionary& dict,
-               const rdf::Stats* stats, bool merge_joins = true,
-               int threads = 1, const PlanScript* replay = nullptr,
-               PlanScript* record = nullptr, uint64_t root_cap = 0,
-               const QueryLimits& limits = QueryLimits::None());
+               const rdf::Stats* stats, const EngineConfig& cfg,
+               const PlanScript* replay, PlanScript* record,
+               uint64_t root_cap, const QueryLimits& limits);
 
 }  // namespace sp2b::sparql
 

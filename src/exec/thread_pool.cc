@@ -46,9 +46,7 @@ ThreadPool& ThreadPool::Shared() {
 void ThreadPool::EnsureWorkers(int n) {
   std::lock_guard<std::mutex> lock(mu_);
   while (static_cast<int>(threads_.size()) < n) {
-    size_t index = threads_.size();
-    queues_.emplace_back();
-    threads_.emplace_back([this, index] { WorkerLoop(index); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -60,55 +58,29 @@ int ThreadPool::workers() const {
 void ThreadPool::Submit(Task task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queues_[next_queue_++ % queues_.size()].push_back(std::move(task));
-    ++pending_;
+    queue_.push_back(std::move(task));
   }
   cv_.notify_one();
 }
 
-ThreadPool::Task ThreadPool::PopTask(size_t self) {
-  if (!queues_[self].empty()) {
-    Task task = std::move(queues_[self].back());
-    queues_[self].pop_back();
-    return task;
-  }
-  for (size_t k = 1; k < queues_.size(); ++k) {
-    size_t victim = (self + k) % queues_.size();
-    if (!queues_[victim].empty()) {
-      Task task = std::move(queues_[victim].front());
-      queues_[victim].pop_front();
-      return task;
-    }
-  }
-  return {};
-}
-
 size_t ThreadPool::CancelQueued(const Batch* batch) {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t revoked = 0;
-  for (auto& queue : queues_) {
-    for (auto it = queue.begin(); it != queue.end();) {
-      if (it->batch == batch) {
-        it = queue.erase(it);
-        ++revoked;
-      } else {
-        ++it;
-      }
-    }
-  }
-  pending_ -= revoked;
+  auto kept = std::remove_if(
+      queue_.begin(), queue_.end(),
+      [batch](const Task& t) { return t.batch == batch; });
+  size_t revoked = static_cast<size_t>(queue_.end() - kept);
+  queue_.erase(kept, queue_.end());
   return revoked;
 }
 
-void ThreadPool::WorkerLoop(size_t self) {
+void ThreadPool::WorkerLoop() {
   t_in_worker = true;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    cv_.wait(lock, [&] { return stop_ || pending_ > 0; });
+    cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (stop_) return;  // callers always drain their batches first
-    Task task = PopTask(self);
-    if (!task.run) continue;  // lost the race to another worker
-    --pending_;
+    Task task = std::move(queue_.front());
+    queue_.pop_front();
     lock.unlock();
     task.run();
     lock.lock();

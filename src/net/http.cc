@@ -424,27 +424,13 @@ HttpConnection::ReadStatus HttpConnection::ReadResponse(HttpResponse* out) {
     throw HttpError("malformed response head");
   }
   pos_ = head_end;
-  if (const std::string* te = out->FindHeader("transfer-encoding")) {
-    if (ToLower(*te).find("chunked") == std::string::npos) {
-      throw HttpError("unsupported transfer-encoding");
-    }
-    out->body = ReadChunkedBody();
-  } else if (const std::string* cl = out->FindHeader("content-length")) {
-    std::optional<uint64_t> n = ParseDigitsOnly(*cl);
-    if (!n || *n > kMaxBodyBytes) throw HttpError("bad content-length");
-    out->body = TakeBytes(static_cast<size_t>(*n));
-  } else {
-    // Close-delimited: drain until EOF.
-    for (;;) {
-      int r = Fill();
-      if (r == 0) break;
-      if (buf_.size() - pos_ > kMaxBodyBytes) {
-        throw HttpError("body too large");
-      }
-    }
-    out->body = buf_.substr(pos_);
-    pos_ = buf_.size();
-  }
+  // The server frames every response with Content-Length; anything
+  // else did not come from it.
+  const std::string* cl = out->FindHeader("content-length");
+  if (cl == nullptr) throw HttpError("response without content-length");
+  std::optional<uint64_t> n = ParseDigitsOnly(*cl);
+  if (!n || *n > kMaxBodyBytes) throw HttpError("bad content-length");
+  out->body = TakeBytes(static_cast<size_t>(*n));
   return ReadStatus::kOk;
 }
 

@@ -86,12 +86,13 @@ struct CompiledQuery {
 };
 
 /// Lowers a GroupPattern tree to slot-resolved CGroups, applying the
-/// config's rewrites (reordering, filter pushing, equality binding,
-/// left-join keys). Defined in engine.cc.
+/// level's rewrites (EngineConfig::Level): reordering and filter
+/// pushing on indexed and semantic, equality binding and left-join
+/// keys on semantic and the planned levels. Defined in engine.cc.
 class Compiler {
  public:
   Compiler(const rdf::Store& store, const rdf::Dictionary& dict,
-           const EngineConfig& cfg, const rdf::Stats* stats);
+           EngineConfig::Level level, const rdf::Stats* stats);
 
   CGroup CompileRoot(const GroupPattern& where);
 
@@ -115,7 +116,8 @@ class Compiler {
 
   const rdf::Store& store_;
   const rdf::Dictionary& dict_;
-  const EngineConfig& cfg_;
+  const bool reorder_;       // selectivity order + filter pushing
+  const bool bind_equality_;  // equality filters -> bindings / seeds
   const rdf::Stats* stats_;
   std::map<std::string, int> slots_;
   std::vector<std::string> names_;

@@ -6,10 +6,13 @@
 #include <cstdlib>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -31,8 +34,13 @@ namespace internal {
 // ---------------------------------------------------------------------------
 
 Compiler::Compiler(const rdf::Store& store, const rdf::Dictionary& dict,
-                   const EngineConfig& cfg, const rdf::Stats* stats)
-    : store_(store), dict_(dict), cfg_(cfg), stats_(stats) {}
+                   EngineConfig::Level level, const rdf::Stats* stats)
+    : store_(store),
+      dict_(dict),
+      reorder_(level == EngineConfig::kIndexed ||
+               level == EngineConfig::kSemantic),
+      bind_equality_(level >= EngineConfig::kSemantic),
+      stats_(stats) {}
 
 CGroup Compiler::CompileRoot(const GroupPattern& where) {
   return CompileGroup(where, {}, {}, /*is_optional=*/false);
@@ -322,12 +330,12 @@ CGroup Compiler::CompileGroup(const GroupPattern& g, std::set<int> bound_entry,
     if (conj.op == Expr::kEq && conj.kids.size() == 2) {
       const Expr& a = conj.kids[0];
       const Expr& b = conj.kids[1];
-      if (cfg_.equality_binding && a.op == Expr::kVar &&
+      if (bind_equality_ && a.op == Expr::kVar &&
           b.op == Expr::kVar) {
         int sa = SlotOf(a.var), sb = SlotOf(b.var);
         bool a_entry = bound_entry.count(sa) > 0;
         bool b_entry = bound_entry.count(sb) > 0;
-        if (is_optional && cfg_.leftjoin_keys && (a_entry != b_entry)) {
+        if (is_optional && (a_entry != b_entry)) {
           // Keyed left join: pre-bind the optional-local variable to
           // the outer one's value when entering the OPTIONAL.
           int outer = a_entry ? sa : sb;
@@ -363,7 +371,7 @@ CGroup Compiler::CompileGroup(const GroupPattern& g, std::set<int> bound_entry,
           local_pattern_vars.insert(sa);
           consumed = true;
         }
-      } else if (cfg_.equality_binding &&
+      } else if (bind_equality_ &&
                  ((a.op == Expr::kVar && b.op == Expr::kConst) ||
                   (a.op == Expr::kConst && b.op == Expr::kVar))) {
         const Expr& var = a.op == Expr::kVar ? a : b;
@@ -384,7 +392,7 @@ CGroup Compiler::CompileGroup(const GroupPattern& g, std::set<int> bound_entry,
   }
   for (const Expr& conj : kept) cg.filters.push_back(CompileExpr(conj));
 
-  if (cfg_.reorder) Reorder(cg.patterns, bound_entry);
+  if (reorder_) Reorder(cg.patterns, bound_entry);
 
   // Certainly-bound sets per stage, for filter pushing.
   std::vector<std::set<int>> bound_after(cg.patterns.size());
@@ -400,7 +408,7 @@ CGroup Compiler::CompileGroup(const GroupPattern& g, std::set<int> bound_entry,
     std::set<int> vars;
     CollectVars(cg.filters[fi], vars);
     int stage = -1;
-    if (cfg_.push_filters) {
+    if (reorder_) {
       for (size_t k = 0; k < cg.patterns.size(); ++k) {
         if (std::includes(bound_after[k].begin(), bound_after[k].end(),
                           vars.begin(), vars.end())) {
@@ -985,38 +993,38 @@ class Exec {
 // Solution modifiers / Engine entry
 // ---------------------------------------------------------------------------
 
+namespace {
+
+constexpr const char* kLevelNames[] = {"naive", "indexed", "semantic",
+                                       "planned", "planned-hash"};
+
+}  // namespace
+
+std::string EngineConfig::name() const {
+  std::string out = kLevelNames[level];
+  if (threads > 1) out += '@' + std::to_string(threads);
+  return out;
+}
+
 EngineConfig EngineConfig::ByName(const std::string& name) {
-  std::string base = name;
-  int threads = 1;
   size_t at = name.find('@');
+  const std::string base = name.substr(0, at);
+  EngineConfig cfg;
   if (at != std::string::npos) {
-    base = name.substr(0, at);
-    char* end = nullptr;
-    long v = std::strtol(name.c_str() + at + 1, &end, 10);
-    if (end == nullptr || *end != '\0' || v < 1 || v > 256) {
+    std::optional<uint64_t> v =
+        ParseDigitsOnly(std::string_view(name).substr(at + 1));
+    if (!v || *v < 1 || *v > 256) {
       throw std::out_of_range("bad thread count in engine level: " + name);
     }
-    threads = static_cast<int>(v);
+    cfg.threads = static_cast<int>(*v);
   }
-  EngineConfig cfg;
-  if (base == "naive") {
-    cfg = Naive();
-  } else if (base == "indexed") {
-    cfg = Indexed();
-  } else if (base == "semantic") {
-    cfg = Semantic();
-  } else if (base == "planned") {
-    cfg = Planned();
-  } else if (base == "planned-hash") {
-    cfg = PlannedHash();
-  } else {
-    throw std::out_of_range("unknown engine level: " + name);
+  for (int i = 0; i < static_cast<int>(std::size(kLevelNames)); ++i) {
+    if (base == kLevelNames[i]) {
+      cfg.level = static_cast<Level>(i);
+      return cfg;
+    }
   }
-  if (threads > 1) {
-    cfg.threads = threads;
-    cfg.name = name;
-  }
-  return cfg;
+  throw std::out_of_range("unknown engine level: " + name);
 }
 
 const Term& QueryResult::ResolveTerm(TermId id,
@@ -1084,20 +1092,17 @@ QueryResult Engine::ExecuteImpl(const AstQuery& ast, const QueryLimits& limits,
                                 PlanScript* record) {
   // ASK runs on the backtracking evaluator at every level: it stops at
   // the first solution, which a bottom-up plan cannot. The planned
-  // levels compile it with the backtracking rewrites they otherwise
-  // leave to the planner.
+  // levels compile it as semantic does, with the backtracking
+  // rewrites they otherwise leave to the planner.
   const bool ask = ast.form == AstQuery::kAsk;
-  EngineConfig cfg = config_;
-  if (ask && cfg.planned) {
-    cfg.reorder = true;
-    cfg.push_filters = true;
-  }
+  const EngineConfig::Level compile_level =
+      ask && config_.planned() ? EngineConfig::kSemantic : config_.level;
 
   // Compiles the WHERE clause and resolves every externally referenced
   // variable to a slot BEFORE fixing the row width, so selected or
   // grouped variables that never occur in the pattern still have a
   // (permanently unbound) column.
-  internal::Compiler compiler(store_, dict_, cfg, stats_);
+  internal::Compiler compiler(store_, dict_, compile_level, stats_);
   CompiledQuery q;
   q.root = compiler.CompileRoot(ast.where);
   std::vector<int> select_slots;
@@ -1127,7 +1132,7 @@ QueryResult Engine::ExecuteImpl(const AstQuery& ast, const QueryLimits& limits,
 
   if (ask) {
     result.is_ask = true;
-    if (config_.planned) {
+    if (config_.planned()) {
       if (record != nullptr) record->valid = false;
       if (explain != nullptr) {
         *explain =
@@ -1156,9 +1161,8 @@ QueryResult Engine::ExecuteImpl(const AstQuery& ast, const QueryLimits& limits,
 
   Plan plan;
   BindingTable table;
-  if (config_.planned) {
-    plan = BuildPlan(q, ast, store_, dict_, stats_, config_.merge_joins,
-                     config_.threads,
+  if (config_.planned()) {
+    plan = BuildPlan(q, ast, store_, dict_, stats_, config_,
                      replay != nullptr && replay->valid ? replay : nullptr,
                      record, push_cap, limits);
     if (record != nullptr) record->valid = true;
@@ -1435,7 +1439,7 @@ QueryResult Engine::ExecuteImpl(const AstQuery& ast, const QueryLimits& limits,
   result.projection = projection;
   result.rows = std::move(table);
 
-  if (config_.planned) {
+  if (config_.planned()) {
     plan.SetRootActual(result.rows.size());
     if (explain != nullptr) *explain = plan.Explain();
   }

@@ -707,83 +707,6 @@ class HashJoinOp : public Operator {
   int threads_;
 };
 
-/// First row >= `from` whose `slot` value reaches `key` (exponential
-/// search over a key-sorted BindingTable).
-size_t GallopRows(const BindingTable& t, size_t from, int slot, TermId key) {
-  if (from >= t.size() || t.Row(from)[slot] >= key) return from;
-  size_t bound = 1;
-  while (from + bound < t.size() && t.Row(from + bound)[slot] < key) {
-    bound <<= 1;
-  }
-  size_t lo = from + (bound >> 1);
-  size_t hi = std::min(t.size(), from + bound);
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (t.Row(mid)[slot] < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-/// Sort-merge join: both inputs arrive sorted on the join key (the
-/// planner tracked the scans' physical order to guarantee it), so the
-/// operator zips them with galloping advances and emits the product
-/// of each equal-key run — no hash table is ever built. Remaining
-/// shared variables are verified by the generic row merge.
-class MergeJoinOp : public Operator {
- public:
-  MergeJoinOp(std::string detail, size_t width, std::shared_ptr<Operator> left,
-              std::shared_ptr<Operator> right,
-              std::vector<std::pair<int, int>> keys, int lkey, int rkey)
-      : Operator("MergeJoin", std::move(detail), width,
-                 {std::move(left), std::move(right)}),
-        keys_(std::move(keys)),
-        lkey_(lkey),
-        rkey_(rkey) {}
-
- protected:
-  void Compute(ExecCtx& ctx) override {
-    const BindingTable& L = children_[0]->Output(ctx);
-    const BindingTable& R = children_[1]->Output(ctx);
-    std::vector<TermId> row(width_, kNoTerm);
-    size_t i = 0, j = 0;
-    while (i < L.size() && j < R.size()) {
-      ctx.Probe();
-      TermId a = L.Row(i)[lkey_];
-      TermId c = R.Row(j)[rkey_];
-      if (a < c) {
-        i = GallopRows(L, i, lkey_, c);
-        continue;
-      }
-      if (c < a) {
-        j = GallopRows(R, j, rkey_, a);
-        continue;
-      }
-      size_t i2 = i + 1;
-      while (i2 < L.size() && L.Row(i2)[lkey_] == a) ++i2;
-      size_t j2 = j + 1;
-      while (j2 < R.size() && R.Row(j2)[rkey_] == a) ++j2;
-      for (size_t x = i; x < i2; ++x) {
-        const TermId* lrow = L.Row(x);
-        for (size_t y = j; y < j2; ++y) {
-          if (MergeRows(lrow, R.Row(y), width_, keys_, row.data())) {
-            Append(ctx, row.data());
-          }
-        }
-      }
-      i = i2;
-      j = j2;
-    }
-  }
-
- private:
-  std::vector<std::pair<int, int>> keys_;  // all shared (left, right) slots
-  int lkey_, rkey_;                        // the leading sorted key
-};
-
 /// Order-aware join of a key-sorted input against the key-sorted scan
 /// range of a pattern: both sides advance monotonically and the scan
 /// side gallops across non-matching runs, so a selective input
@@ -1360,7 +1283,7 @@ class PlanBuilder {
  public:
   PlanBuilder(CompiledQuery& q, const rdf::Store& store,
               const rdf::Dictionary& dict, const rdf::Stats* stats,
-              bool merge_joins, int threads, const PlanScript* replay,
+              const EngineConfig& cfg, const PlanScript* replay,
               PlanScript* record, uint64_t root_cap,
               const QueryLimits& limits)
       : q_(q),
@@ -1368,8 +1291,8 @@ class PlanBuilder {
         dict_(dict),
         stats_(stats),
         width_(q.width),
-        merge_joins_(merge_joins),
-        threads_(threads < 1 ? 1 : threads),
+        merge_joins_(cfg.level == EngineConfig::kPlanned),
+        threads_(std::max(1, cfg.threads)),
         replay_(replay),
         record_(record),
         root_cap_(root_cap),
@@ -1912,7 +1835,7 @@ class PlanBuilder {
       c.est = tmp.est;
     };
 
-    enum Method { kINLJ, kHash, kMergeScan, kRangeMerge, kMerge };
+    enum Method { kINLJ, kHash, kMergeScan, kRangeMerge };
     // One candidate merge of components (a, b), scored exactly as the
     // greedy search scores it. `valid` false marks combinations the
     // search never visits (self, out of range, symmetric duplicates,
@@ -2022,18 +1945,6 @@ class PlanBuilder {
         method = kHash;
         cost = kBuildCost * std::min(A.est, B.est) +
                std::max(A.est, B.est) + out;
-        if (merge_joins_ && !A.sort.empty() && !B.sort.empty() &&
-            A.sort.front() == B.sort.front() &&
-            std::find(shared.begin(), shared.end(), A.sort.front()) !=
-                shared.end()) {
-          // Both tables already sorted on the key: zip them.
-          double merge = A.est + B.est + out;
-          if (merge < cost) {
-            method = kMerge;
-            cost = merge;
-            mv = A.sort.front();
-          }
-        }
       }
       cand.valid = true;
       cand.method = method;
@@ -2130,19 +2041,6 @@ class PlanBuilder {
         op->est_rows = best.out;
         merged.op = std::move(op);
         merged.sort = {best.mv};  // emitted in ascending key runs
-      } else if (best.method == kMerge) {
-        realize(A);
-        realize(B);
-        std::vector<std::pair<int, int>> keys;
-        for (int v : B.certain) {
-          if (A.certain.count(v)) keys.emplace_back(v, v);
-        }
-        auto op = std::make_shared<MergeJoinOp>(KeysLabel(keys), width_,
-                                                A.op, B.op, keys, best.mv,
-                                                best.mv);
-        op->est_rows = best.out;
-        merged.op = std::move(op);
-        merged.sort = {best.mv};
       } else {
         realize(A);
         realize(B);
@@ -2510,8 +2408,8 @@ class PlanBuilder {
   const rdf::Dictionary& dict_;
   const rdf::Stats* stats_;
   size_t width_;
-  bool merge_joins_ = true;
-  int threads_ = 1;
+  bool merge_joins_;  // false on planned-hash
+  int threads_;
   /// Record/replay hooks: replay_ walks merges in recorded order
   /// (cleared the moment an entry stops matching the live component
   /// list — the rest of the build reverts to full search); record_
@@ -2619,15 +2517,15 @@ std::string Plan::Explain() const {
 
 Plan BuildPlan(internal::CompiledQuery& q, const AstQuery& ast,
                const rdf::Store& store, const rdf::Dictionary& dict,
-               const rdf::Stats* stats, bool merge_joins, int threads,
+               const rdf::Stats* stats, const EngineConfig& cfg,
                const PlanScript* replay, PlanScript* record,
                uint64_t root_cap, const QueryLimits& limits) {
   if (record != nullptr) {
     record->valid = false;
     record->merges.clear();
   }
-  internal::PlanBuilder builder(q, store, dict, stats, merge_joins, threads,
-                                replay, record, root_cap, limits);
+  internal::PlanBuilder builder(q, store, dict, stats, cfg, replay, record,
+                                root_cap, limits);
   Plan plan;
   plan.root_ = builder.Build(ast);
   return plan;

@@ -1,4 +1,4 @@
-// Concurrency correctness: the work-stealing thread pool's contract
+// Concurrency correctness: the thread pool's contract
 // (coverage, exception propagation, zero-task / nested /
 // oversubscription edge cases), N client threads hammering one shared
 // immutable store with the full benchmark query set, and the parallel

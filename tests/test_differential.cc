@@ -224,7 +224,7 @@ SP2B_TEST(nested_shapes) {
         for (const std::string& row : reference) msg << "\n  ref: " << row;
         throw sp2b::test::CheckFailure(msg.str());
       }
-      if (!cfg.planned) continue;
+      if (!cfg.planned()) continue;
       sparql::Engine plan_engine(*doc.store, *doc.dict, cfg, nullptr);
       std::string explain;
       plan_engine.ExecuteExplained(

@@ -3,6 +3,8 @@
 // rejection), and the in-process SparqlServer: query execution over
 // loopback, the 400/408/413 outcome mapping, /stats, keep-alive, and
 // deterministic 503 admission control.
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -103,6 +105,38 @@ SP2B_TEST(head_parsing) {
   CHECK(head.find("HTTP/1.1 408 Request Timeout\r\n") == 0);
   CHECK(head.find("Content-Length: 0\r\n") != std::string::npos);
   CHECK_EQ(head.substr(head.size() - 4), "\r\n\r\n");
+}
+
+SP2B_TEST(response_requires_content_length) {
+  // The client reads only Content-Length framing, the one the server
+  // writes: a chunked or close-delimited response is refused, and a
+  // framed one on the same kind of socket still reads.
+  auto read = [](const std::string& wire, HttpResponse* resp) {
+    int fds[2];
+    CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
+    HttpConnection peer(fds[0]);
+    HttpConnection conn(fds[1]);
+    peer.WriteAll(wire);
+    peer.Close();
+    return conn.ReadResponse(resp);
+  };
+  for (const char* wire :
+       {"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nbody",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        "4\r\nbody\r\n0\r\n\r\n"}) {
+    HttpResponse resp;
+    bool refused = false;
+    try {
+      read(wire, &resp);
+    } catch (const HttpError&) {
+      refused = true;
+    }
+    CHECK(refused);
+  }
+  HttpResponse ok;
+  CHECK(read("HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nbody", &ok) ==
+        HttpConnection::ReadStatus::kOk);
+  CHECK_EQ(ok.body, "body");
 }
 
 namespace {

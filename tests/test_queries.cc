@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -534,6 +535,49 @@ SP2B_TEST(anti_join_plans) {
                                        level + ": expected a LeftJoin:\n" +
                                        plan);
       }
+    }
+  }
+}
+
+SP2B_TEST(merge_join_levels) {
+  // What separates the two planned levels: planned-hash never plans a
+  // merge join on any catalog query, and planned merges q9's sorted
+  // ?person ranges.
+  std::vector<BenchmarkQuery> catalog = AllQueries();
+  for (const auto* more : {&AggregateQueries(), &PathQueries()}) {
+    catalog.insert(catalog.end(), more->begin(), more->end());
+  }
+  for (const BenchmarkQuery& q : catalog) {
+    const std::string plan = ExplainOn(Fixture(), q.text, "planned-hash");
+    if (plan.find("Merge") != std::string::npos) {
+      throw sp2b::test::CheckFailure(q.id + " on planned-hash merges:\n" +
+                                     plan);
+    }
+  }
+  const std::string q9 = ExplainOn(Fixture(), GetQuery("q9").text, "planned");
+  if (q9.find("ScanMergeJoin") == std::string::npos) {
+    throw sp2b::test::CheckFailure("planned q9 has no ScanMergeJoin:\n" + q9);
+  }
+}
+
+SP2B_TEST(level_names) {
+  for (const char* name : {"naive", "indexed", "semantic", "planned",
+                           "planned-hash", "planned@4"}) {
+    CHECK_EQ(sparql::EngineConfig::ByName(name).name(), std::string(name));
+  }
+  CHECK_EQ(sparql::EngineConfig::ByName("planned@4").threads, 4);
+  CHECK(sparql::EngineConfig::ByName("planned-hash").level ==
+        sparql::EngineConfig::kPlannedHash);
+  for (const char* bad : {"planned@0", "planned@257", "bogus", "planned@+4",
+                          "planned@ 4", "planned@4x", "planned@"}) {
+    bool threw = false;
+    try {
+      sparql::EngineConfig::ByName(bad);
+    } catch (const std::out_of_range&) {
+      threw = true;
+    }
+    if (!threw) {
+      throw sp2b::test::CheckFailure(std::string("ByName accepted ") + bad);
     }
   }
 }
